@@ -14,7 +14,6 @@ package agent
 
 import (
 	"fmt"
-	"math"
 
 	"rpgo/internal/data"
 	"rpgo/internal/dragon"
@@ -120,8 +119,8 @@ type Agent struct {
 	slowFactor func(node int) float64
 
 	// Phase, when set before the engine runs, is handed to every backend
-	// launcher that supports launch.PhaseAttacher as it is created during
-	// bootstrap (launchers do not exist yet when the pilot is submitted).
+	// launcher as it is created during bootstrap (launchers do not exist
+	// yet when the pilot is submitted).
 	Phase sim.PhaseFunc
 	// elastic marks that a fault injector manages this pilot: a group
 	// whose instances are all down parks tasks until a restart instead of
@@ -213,6 +212,7 @@ func (a *Agent) bootstrapBackends() {
 			part := parts[gi][ii]
 			name := fmt.Sprintf("%s.%d", pc.Backend, ii)
 			var l launch.Launcher
+			var dm *launch.Daemon
 			switch pc.Backend {
 			case spec.BackendSrun:
 				l = slurm.NewSrunLauncher(name, a.eng, a.ctrl, part, a.util, a.src)
@@ -222,30 +222,26 @@ func (a *Agent) bootstrapBackends() {
 					Params: a.params.Flux,
 					Eta:    a.params.Flux.Eta(pc.Instances),
 				}, a.eng, a.ctrl, part, a.util, a.src)
-				idx := len(g.launchers)
-				in.OnException = func(reason string) { a.instanceDown(g, idx, reason) }
-				l = in
+				l, dm = in, &in.Daemon
 			case spec.BackendPRRTE:
 				dvm := prrte.NewDVM(name, prrte.DefaultParams(), a.eng, a.ctrl, part, a.util, a.src)
-				idx := len(g.launchers)
-				dvm.OnException = func(reason string) { a.instanceDown(g, idx, reason) }
-				l = dvm
+				l, dm = dvm, &dvm.Daemon
 			case spec.BackendDragon:
 				rt := dragon.NewRuntime(dragon.Config{
 					Name:   name,
 					Params: a.params.Dragon,
 					Eta:    a.params.Flux.Eta(pc.Instances),
 				}, a.eng, a.ctrl, part, a.util, a.src)
-				idx := len(g.launchers)
-				rt.OnException = func(reason string) { a.instanceDown(g, idx, reason) }
-				l = rt
+				l, dm = rt, &rt.Daemon
 			default:
 				panic("agent: unknown backend " + pc.Backend.String())
 			}
+			if dm != nil {
+				idx := len(g.launchers)
+				dm.OnException = func(reason string) { a.instanceDown(g, idx, reason) }
+			}
 			if a.Phase != nil {
-				if pa, ok := l.(launch.PhaseAttacher); ok {
-					pa.AttachPhase(a.Phase)
-				}
+				l.AttachPhase(a.Phase)
 			}
 			g.launchers = append(g.launchers, l)
 			g.alive = append(g.alive, true)
@@ -279,70 +275,29 @@ func (a *Agent) partitionConfigs() []spec.PartitionConfig {
 }
 
 // layoutPartitions splits the allocation nodes across backend groups and
-// instances: fixed-size groups first, then the remainder split by share.
+// instances (spec.PilotDescription.GroupNodes): fixed-size groups first,
+// then the flexible groups in order.
 func (a *Agent) layoutPartitions() [][]*platform.Allocation {
 	cfgs := a.partitionConfigs()
+	layout := spec.PilotDescription{Nodes: a.alloc.Size(), Partitions: cfgs}
+	counts := layout.GroupNodes()
 	out := make([][]*platform.Allocation, len(cfgs))
-	fixed := 0
-	var flexShare float64
-	for _, pc := range cfgs {
-		if pc.NodesPerInstance > 0 {
-			fixed += pc.Instances * pc.NodesPerInstance
-		} else {
-			s := pc.NodeShare
-			if s <= 0 {
-				s = 1
-			}
-			flexShare += s
-		}
-	}
-	free := a.alloc.Size() - fixed
-	if free < 0 {
-		panic("agent: partition layout exceeds allocation")
-	}
 	offset := 0
-	// Fixed groups take their nodes from the front.
-	for gi, pc := range cfgs {
-		if pc.NodesPerInstance <= 0 {
-			continue
+	for _, fixed := range []bool{true, false} {
+		for gi, pc := range cfgs {
+			if (pc.NodesPerInstance > 0) != fixed {
+				continue
+			}
+			if fixed {
+				out[gi] = make([]*platform.Allocation, pc.Instances)
+				for ii := range out[gi] {
+					out[gi][ii] = a.alloc.Slice(offset+ii*pc.NodesPerInstance, pc.NodesPerInstance)
+				}
+			} else {
+				out[gi] = a.alloc.Slice(offset, counts[gi]).Partition(pc.Instances)
+			}
+			offset += counts[gi]
 		}
-		out[gi] = make([]*platform.Allocation, pc.Instances)
-		for ii := 0; ii < pc.Instances; ii++ {
-			out[gi][ii] = a.alloc.Slice(offset, pc.NodesPerInstance)
-			offset += pc.NodesPerInstance
-		}
-	}
-	// Flexible groups split the remainder proportionally to NodeShare.
-	taken := 0
-	flexIdx := 0
-	nFlex := 0
-	for _, pc := range cfgs {
-		if pc.NodesPerInstance <= 0 {
-			nFlex++
-		}
-	}
-	for gi, pc := range cfgs {
-		if pc.NodesPerInstance > 0 {
-			continue
-		}
-		s := pc.NodeShare
-		if s <= 0 {
-			s = 1
-		}
-		flexIdx++
-		var n int
-		if flexIdx == nFlex {
-			n = free - taken // last group absorbs rounding
-		} else {
-			n = int(math.Floor(float64(free) * s / flexShare))
-		}
-		if n < pc.Instances {
-			panic(fmt.Sprintf("agent: group %d gets %d nodes for %d instances", gi, n, pc.Instances))
-		}
-		taken += n
-		block := a.alloc.Slice(offset, n)
-		out[gi] = block.Partition(pc.Instances)
-		offset += n
 	}
 	return out
 }

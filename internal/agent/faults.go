@@ -9,7 +9,6 @@ package agent
 import (
 	"fmt"
 
-	"rpgo/internal/launch"
 	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
 )
@@ -35,9 +34,7 @@ func (a *Agent) FailNode(node int, reason string) int {
 	victims := 0
 	for _, g := range a.groups {
 		for _, l := range g.launchers {
-			if nf, ok := l.(launch.NodeFailer); ok {
-				victims += nf.FailNode(node, reason)
-			}
+			victims += l.FailNode(node, reason)
 		}
 	}
 	a.dataSys.Registry().EvictNode(node)
@@ -55,9 +52,7 @@ func (a *Agent) KickBackends() {
 			if !g.alive[i] {
 				continue
 			}
-			if nf, ok := l.(launch.NodeFailer); ok {
-				nf.Kick()
-			}
+			l.Kick()
 		}
 	}
 }

@@ -38,6 +38,26 @@ func TestPilotValidationErrors(t *testing.T) {
 	}
 }
 
+// TestPilotLayoutErrors: partition layouts the agent cannot build are
+// rejected by SubmitPilot, not left to panic once the session runs.
+func TestPilotLayoutErrors(t *testing.T) {
+	bad := map[string]spec.PilotDescription{
+		"unknown backend":    {Nodes: 2, Partitions: []spec.PartitionConfig{{Backend: spec.Backend(9), Instances: 1}}},
+		"too many instances": {Nodes: 2, Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 4}}},
+		"negative nodes per instance": {Nodes: 2, Partitions: []spec.PartitionConfig{
+			{Backend: spec.BackendFlux, Instances: 1, NodesPerInstance: -1}}},
+		"negative share": {Nodes: 2, Partitions: []spec.PartitionConfig{
+			{Backend: spec.BackendFlux, Instances: 1, NodeShare: -0.5}}},
+	}
+	for name, pd := range bad {
+		sess := core.NewSession(core.Config{Seed: 1})
+		if _, err := sess.SubmitPilot(pd); err == nil {
+			t.Errorf("%s: pilot accepted", name)
+		}
+		sess.Run()
+	}
+}
+
 func TestTaskUIDAssignment(t *testing.T) {
 	sess := core.NewSession(core.Config{Seed: 1})
 	pilot, _ := sess.SubmitPilot(spec.PilotDescription{Nodes: 1})

@@ -1,6 +1,7 @@
 // Package launch defines the contract between the RP agent and the task
-// runtime backends (srun, Flux, Dragon), plus the shared slot-placement
-// machinery every backend uses against its resource partition.
+// runtime backends (srun, Flux, Dragon, PRRTE), the chassis every backend
+// embeds for its lifecycle, and the shared slot-placement machinery every
+// backend uses against its resource partition.
 package launch
 
 import (
@@ -181,17 +182,6 @@ type Telemetry struct {
 	QueueHighWater int
 }
 
-// Instrumented is implemented by backends exposing placement telemetry.
-type Instrumented interface {
-	Telemetry() Telemetry
-}
-
-// PhaseAttacher is implemented by backends that can forward their placer's
-// placement wall-clock samples to a self-profiler hook.
-type PhaseAttacher interface {
-	AttachPhase(fn sim.PhaseFunc)
-}
-
 // Launcher is a task runtime backend bound to a resource partition.
 // Submit may be called before the backend finished bootstrapping; requests
 // queue and run once it is ready.
@@ -214,16 +204,18 @@ type Launcher interface {
 	Drain(reason string)
 	// Stats returns current counters.
 	Stats() Stats
-}
-
-// NodeFailer is implemented by launchers that can evict running work from
-// a failed node. FailNode kills every running job whose placement touches
-// the node — releasing its slots and failing its request so the agent's
-// retry path relocates the task — and returns the victim count. Kick pokes
-// the backend's scheduling loop after external capacity changes (a restored
-// node), since backends otherwise only reschedule on completions.
-type NodeFailer interface {
+	// Telemetry returns the placement counters and queue high-water.
+	Telemetry() Telemetry
+	// AttachPhase forwards the placer's placement wall-clock samples to a
+	// self-profiler hook.
+	AttachPhase(fn sim.PhaseFunc)
+	// FailNode kills every running job whose placement touches the node —
+	// releasing its slots and failing its request so the agent's retry
+	// path relocates the task — and returns the victim count.
 	FailNode(node int, reason string) int
+	// Kick pokes the scheduling loop after external capacity changes (a
+	// restored node), since backends otherwise only reschedule on
+	// completions.
 	Kick()
 }
 

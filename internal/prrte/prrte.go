@@ -17,7 +17,6 @@
 package prrte
 
 import (
-	"fmt"
 	"math"
 
 	"rpgo/internal/launch"
@@ -56,315 +55,65 @@ func DefaultParams() Params {
 	}
 }
 
-// DVM is one PRRTE distributed virtual machine over a partition.
+// DVM is one PRRTE distributed virtual machine over a partition, on the
+// launch.Daemon chassis.
 type DVM struct {
-	name   string
-	eng    *sim.Engine
+	launch.Daemon
 	params Params
-	ctrl   *slurm.Controller
-	plc    *launch.Placer
-	util   *platform.UtilizationTracker
 	rand   *rng.Stream
-
-	queue   launch.Queue
-	running []*dvmLaunch
-
-	ready       bool
-	readyFns    []func()
-	t0          sim.Time
-	bootstrap   sim.Duration
-	releaseSrun func()
-
 	// launcher serializes prun invocations (the flat-rate bottleneck).
-	launcher *sim.Server[*dvmLaunch]
+	launcher *sim.Server[*launch.Job]
 	rateMult float64
-	crashed  bool
-	stats    launch.Stats
-
-	// Prebound hot-path callbacks for the engine's pooled events.
-	execFn func(any)
-	doneFn func(any)
-
-	// OnException reports DVM-level failures to the executor.
-	OnException func(reason string)
-}
-
-type dvmLaunch struct {
-	r  *launch.Request
-	pl *platform.Placement
-	// runIdx is the slot in the DVM's running list, -1 when not running.
-	runIdx int
 }
 
 // NewDVM creates and boots a DVM over the partition.
 func NewDVM(name string, params Params, eng *sim.Engine, ctrl *slurm.Controller,
 	part *platform.Allocation, util *platform.UtilizationTracker, src *rng.Source) *DVM {
-	d := &DVM{
-		name:   name,
-		eng:    eng,
-		params: params,
-		ctrl:   ctrl,
-		plc:    launch.NewPlacer(part),
-		util:   util,
-		rand:   src.Stream("prrte." + name),
-		t0:     eng.Now(),
-	}
+	d := &DVM{params: params, rand: src.Stream("prrte." + name)}
+	d.Init(launch.Model{
+		Name:    name,
+		Backend: spec.BackendPRRTE,
+		Down:    "prrte DVM down",
+		Unfit:   "task %s cannot fit DVM partition of %d nodes",
+		Pump:    d.pump,
+		Noun:    "prrte DVM",
+		Boot:    d.boot,
+	}, eng, ctrl, part, util)
 	d.rateMult = d.rand.LogNormal(1, params.RunSigma)
-	d.execFn = d.prunExec
-	d.doneFn = d.taskDone
 	d.launcher = sim.NewServer(eng, 1, d.serviceTime, d.launched)
 	d.boot()
 	return d
 }
 
+// boot wires up the DVM daemons: it is srun-launched once and holds its
+// slot for its lifetime.
 func (d *DVM) boot() {
-	dur := sim.Seconds(d.rand.LogNormal(
+	d.BootStep(sim.Seconds(d.rand.LogNormal(
 		d.params.BootstrapMedian+d.params.BootstrapPerLogNode*math.Log2(float64(d.Nodes())+1),
-		d.params.BootstrapSigma))
-	// The DVM is srun-launched once and holds its slot for its lifetime.
-	d.ctrl.StartStep(d.Nodes(), 1, func(release func()) {
-		d.releaseSrun = release
-		left := sim.Duration(0)
-		if spent := d.eng.Now().Sub(d.t0); spent < dur {
-			left = dur - spent
-		}
-		d.eng.After(left, func() {
-			if d.crashed {
-				return
-			}
-			d.ready = true
-			d.bootstrap = d.eng.Now().Sub(d.t0)
-			fns := d.readyFns
-			d.readyFns = nil
-			for _, fn := range fns {
-				d.eng.Immediately(fn)
-			}
-			d.pump()
-		})
-	})
+		d.params.BootstrapSigma)))
 }
-
-// Name implements launch.Launcher.
-func (d *DVM) Name() string { return d.name }
-
-// Backend implements launch.Launcher.
-func (d *DVM) Backend() spec.Backend { return spec.BackendPRRTE }
-
-// Nodes implements launch.Launcher.
-func (d *DVM) Nodes() int { return d.plc.Partition().Size() }
-
-// Ready implements launch.Launcher.
-func (d *DVM) Ready(fn func()) {
-	if d.ready {
-		d.eng.Immediately(fn)
-		return
-	}
-	d.readyFns = append(d.readyFns, fn)
-}
-
-// BootstrapOverhead implements launch.Launcher.
-func (d *DVM) BootstrapOverhead() sim.Duration { return d.bootstrap }
-
-// Stats implements launch.Launcher.
-func (d *DVM) Stats() launch.Stats {
-	st := d.stats
-	st.QueueLen = d.queue.Len()
-	return st
-}
-
-// Telemetry implements launch.Instrumented.
-func (d *DVM) Telemetry() launch.Telemetry {
-	return launch.Telemetry{Placer: d.plc.Stats(), QueueHighWater: d.queue.HighWater()}
-}
-
-// AttachPhase implements launch.PhaseAttacher.
-func (d *DVM) AttachPhase(fn sim.PhaseFunc) { d.plc.Phase = fn }
 
 // Rate returns the effective prun launch rate.
 func (d *DVM) Rate() float64 { return d.params.Rate * d.rateMult }
 
-// Submit implements launch.Launcher.
-func (d *DVM) Submit(r *launch.Request) {
-	d.stats.Submitted++
-	if d.crashed {
-		d.fail(r, "prrte DVM down")
-		return
-	}
-	if !d.plc.Fits(r.TD) {
-		d.fail(r, fmt.Sprintf("task %s cannot fit DVM partition of %d nodes", r.UID, d.Nodes()))
-		return
-	}
-	r.Enqueue(d.eng.Now())
-	d.queue.Push(r)
-	d.pump()
-}
-
-// Drain implements launch.Launcher.
-func (d *DVM) Drain(reason string) {
-	for _, r := range d.queue.TakeAll() {
-		d.fail(r, reason)
-	}
-}
-
-// Crash kills the DVM: queued and running tasks fail, resources release.
-func (d *DVM) Crash(reason string) {
-	if d.crashed {
-		return
-	}
-	d.crashed = true
-	if d.releaseSrun != nil {
-		d.releaseSrun()
-		d.releaseSrun = nil
-	}
-	d.Drain(reason)
-	now := d.eng.Now()
-	run := d.running
-	d.running = nil
-	for _, l := range run {
-		l.runIdx = -1
-		if d.util != nil {
-			d.util.Remove(now, l.pl.TotalCPU(), l.pl.TotalGPU())
-		}
-		d.plc.Partition().Release(now, l.pl)
-		d.fail(l.r, reason)
-	}
-	if d.OnException != nil {
-		d.OnException(reason)
-	}
-}
-
-// Restart recovers a crashed DVM: the daemons re-bootstrap from scratch —
-// paying the srun step and startup latency again — and, once up, fire any
-// Ready callbacks registered meanwhile and resume launching. No-op unless
-// crashed.
-func (d *DVM) Restart() bool {
-	if !d.crashed {
-		return false
-	}
-	d.crashed = false
-	d.ready = false
-	d.t0 = d.eng.Now()
-	d.boot()
-	return true
-}
-
-// FailNode implements launch.NodeFailer: kills every running task whose
-// placement includes the node, releasing slots and failing requests so the
-// agent relocates them. Tasks still in the prun launch window are not
-// tracked as running and survive. Returns the number of victims.
-func (d *DVM) FailNode(node int, reason string) int {
-	now := d.eng.Now()
-	victims := 0
-	for i := 0; i < len(d.running); {
-		l := d.running[i]
-		if !l.pl.Includes(node) {
-			i++
-			continue
-		}
-		// removeRunning swap-moves the tail into slot i; re-examine it.
-		d.removeRunning(l)
-		if d.util != nil {
-			d.util.Remove(now, l.pl.TotalCPU(), l.pl.TotalGPU())
-		}
-		d.plc.Partition().Release(now, l.pl)
-		d.fail(l.r, reason)
-		victims++
-	}
-	d.pump()
-	return victims
-}
-
-// Kick implements launch.NodeFailer: re-runs placement after external
-// capacity changes (a restored node).
-func (d *DVM) Kick() { d.pump() }
-
-// Shutdown tears the DVM down gracefully.
-func (d *DVM) Shutdown() {
-	d.Drain("prrte DVM shutdown")
-	if d.releaseSrun != nil {
-		d.releaseSrun()
-		d.releaseSrun = nil
-	}
-}
-
-func (d *DVM) fail(r *launch.Request, reason string) {
-	d.stats.Failed++
-	at := d.eng.Now()
-	d.eng.Immediately(func() { r.NotifyComplete(at, true, reason) })
-}
-
 // pump places queued tasks (RP-side placement: PRRTE has no scheduler) and
 // feeds the serial prun launcher.
 func (d *DVM) pump() {
-	if !d.ready || d.crashed {
-		return
-	}
-	for d.queue.Len() > 0 {
-		r, pl := d.plc.PopNext(d.eng.Now(), &d.queue, 0)
-		if pl == nil {
-			return
-		}
-		d.launcher.Submit(&dvmLaunch{r: r, pl: pl, runIdx: -1})
+	for j := d.Next(0); j != nil; j = d.Next(0) {
+		d.launcher.Submit(j)
 	}
 }
 
-// removeRunning swap-deletes a launch from the running list in O(1).
-func (d *DVM) removeRunning(l *dvmLaunch) {
-	last := len(d.running) - 1
-	moved := d.running[last]
-	d.running[l.runIdx] = moved
-	moved.runIdx = l.runIdx
-	d.running[last] = nil
-	d.running = d.running[:last]
-	l.runIdx = -1
-}
-
-func (d *DVM) serviceTime(*dvmLaunch) sim.Duration {
+func (d *DVM) serviceTime(*launch.Job) sim.Duration {
 	return sim.Seconds(d.rand.Exp(1 / d.Rate()))
 }
 
-func (d *DVM) launched(l *dvmLaunch) {
-	if d.crashed {
-		d.plc.Partition().Release(d.eng.Now(), l.pl)
-		d.fail(l.r, "prrte DVM down")
+// launched runs when prun is through the serial launcher; the task starts
+// once the client hands it to the DVM daemons.
+func (d *DVM) launched(j *launch.Job) {
+	if !d.Live(j) {
 		return
 	}
 	lat := d.rand.LogNormal(d.params.PrunLatencyMedian, d.params.PrunLatencySigma)
-	d.eng.AfterCall(sim.Seconds(lat), d.execFn, l)
-}
-
-// prunExec runs when the prun client hands the task to the DVM daemons.
-func (d *DVM) prunExec(arg any) {
-	l := arg.(*dvmLaunch)
-	if d.crashed {
-		d.plc.Partition().Release(d.eng.Now(), l.pl)
-		d.fail(l.r, "prrte DVM down")
-		return
-	}
-	now := d.eng.Now()
-	d.stats.Started++
-	l.runIdx = len(d.running)
-	d.running = append(d.running, l)
-	if d.util != nil {
-		d.util.Add(now, l.pl.TotalCPU(), l.pl.TotalGPU())
-	}
-	l.r.NotifyStart(now)
-	l.r.StartBodyCall(d.eng, d.doneFn, l)
-}
-
-// taskDone runs when the task's process body ends.
-func (d *DVM) taskDone(arg any) {
-	l := arg.(*dvmLaunch)
-	if l.runIdx < 0 {
-		return
-	}
-	d.removeRunning(l)
-	end := d.eng.Now()
-	if d.util != nil {
-		d.util.Remove(end, l.pl.TotalCPU(), l.pl.TotalGPU())
-	}
-	d.plc.Partition().Release(end, l.pl)
-	d.stats.Completed++
-	l.r.NotifyComplete(end, false, "")
-	d.pump()
+	d.Eng.AfterCall(sim.Seconds(lat), d.StartFn(), j)
 }

@@ -4,6 +4,7 @@ package spec
 
 import (
 	"fmt"
+	"math"
 
 	"rpgo/internal/sim"
 )
@@ -374,7 +375,8 @@ type PilotDescription struct {
 	Placement PlacementPolicy
 }
 
-// Validate checks the pilot description.
+// Validate checks the pilot description, including that its partition
+// layout gives every backend instance at least one node.
 func (p *PilotDescription) Validate() error {
 	if p.Nodes <= 0 {
 		return fmt.Errorf("spec: pilot %q needs at least one node", p.UID)
@@ -389,13 +391,68 @@ func (p *PilotDescription) Validate() error {
 		if pc.Instances <= 0 {
 			return fmt.Errorf("spec: pilot %q partition %d has no instances", p.UID, i)
 		}
-		if pc.Backend == BackendAuto {
+		switch pc.Backend {
+		case BackendSrun, BackendFlux, BackendDragon, BackendPRRTE:
+		case BackendAuto:
 			return fmt.Errorf("spec: pilot %q partition %d must pin a backend", p.UID, i)
+		default:
+			return fmt.Errorf("spec: pilot %q partition %d has unknown backend %v", p.UID, i, pc.Backend)
+		}
+		if pc.NodesPerInstance < 0 {
+			return fmt.Errorf("spec: pilot %q partition %d has negative NodesPerInstance %d", p.UID, i, pc.NodesPerInstance)
+		}
+		if !(pc.NodeShare >= 0) || math.IsInf(pc.NodeShare, 0) {
+			return fmt.Errorf("spec: pilot %q partition %d has invalid NodeShare %v", p.UID, i, pc.NodeShare)
 		}
 		total += pc.Instances * pc.NodesPerInstance
 	}
 	if total > p.Nodes {
 		return fmt.Errorf("spec: pilot %q partitions need %d nodes, allocation has %d", p.UID, total, p.Nodes)
 	}
+	for i, n := range p.GroupNodes() {
+		if pc := p.Partitions[i]; n < pc.Instances {
+			return fmt.Errorf("spec: pilot %q partition %d gets %d nodes for %d instances", p.UID, i, n, pc.Instances)
+		}
+	}
 	return nil
+}
+
+// GroupNodes returns how many pilot nodes each partition group receives.
+// Fixed-size groups take Instances×NodesPerInstance; flexible groups split
+// the rest in proportion to NodeShare (zero counts as 1), the last one
+// absorbing rounding.
+func (p *PilotDescription) GroupNodes() []int {
+	out := make([]int, len(p.Partitions))
+	free := p.Nodes
+	var flexShare float64
+	nFlex := 0
+	for i, pc := range p.Partitions {
+		if pc.NodesPerInstance > 0 {
+			out[i] = pc.Instances * pc.NodesPerInstance
+			free -= out[i]
+		} else {
+			flexShare += pc.share()
+			nFlex++
+		}
+	}
+	taken := 0
+	for i, pc := range p.Partitions {
+		if pc.NodesPerInstance > 0 {
+			continue
+		}
+		if nFlex--; nFlex == 0 {
+			out[i] = free - taken
+		} else {
+			out[i] = int(math.Floor(float64(free) * pc.share() / flexShare))
+		}
+		taken += out[i]
+	}
+	return out
+}
+
+func (pc PartitionConfig) share() float64 {
+	if pc.NodeShare <= 0 {
+		return 1
+	}
+	return pc.NodeShare
 }

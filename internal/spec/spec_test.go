@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"math"
 	"testing"
 
 	"rpgo/internal/sim"
@@ -90,6 +91,39 @@ func TestPilotValidation(t *testing.T) {
 	}
 }
 
+func TestPilotLayoutValidation(t *testing.T) {
+	bad := []PilotDescription{
+		{Nodes: 2, Partitions: []PartitionConfig{{Backend: Backend(9), Instances: 1}}},
+		{Nodes: 2, Partitions: []PartitionConfig{{Backend: BackendFlux, Instances: 4}}},
+		{Nodes: 4, Partitions: []PartitionConfig{
+			{Backend: BackendFlux, Instances: 1, NodeShare: 9},
+			{Backend: BackendDragon, Instances: 2, NodeShare: 1},
+		}},
+		{Nodes: 2, Partitions: []PartitionConfig{{Backend: BackendFlux, Instances: 1, NodesPerInstance: -1}}},
+		{Nodes: 2, Partitions: []PartitionConfig{{Backend: BackendFlux, Instances: 1, NodeShare: -1}}},
+		{Nodes: 2, Partitions: []PartitionConfig{{Backend: BackendFlux, Instances: 1, NodeShare: math.NaN()}}},
+		{Nodes: 2, Partitions: []PartitionConfig{{Backend: BackendFlux, Instances: 1, NodeShare: math.Inf(1)}}},
+	}
+	for i, pd := range bad {
+		if err := pd.Validate(); err == nil {
+			t.Errorf("bad layout %d validated: %+v", i, pd.Partitions)
+		}
+	}
+	// Fixed groups first; flexible groups split the rest by share, the
+	// last absorbing rounding.
+	pd := PilotDescription{Nodes: 11, Partitions: []PartitionConfig{
+		{Backend: BackendFlux, Instances: 2, NodeShare: 2},
+		{Backend: BackendSrun, Instances: 1, NodesPerInstance: 2},
+		{Backend: BackendDragon, Instances: 1, NodeShare: 1},
+	}}
+	if err := pd.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pd.GroupNodes(); got[0] != 6 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("GroupNodes = %v, want [6 2 3]", got)
+	}
+}
+
 func TestServiceDescriptionValidate(t *testing.T) {
 	good := ServiceDescription{
 		Name: "llm", Replicas: 2, BaseLatency: 100 * sim.Millisecond,
@@ -98,13 +132,13 @@ func TestServiceDescriptionValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[string]ServiceDescription{
-		"no name":          {Replicas: 1, BaseLatency: sim.Second},
-		"no replicas":      {Name: "x", BaseLatency: sim.Second},
-		"no base latency":  {Name: "x", Replicas: 1},
-		"negative footpr":  {Name: "x", Replicas: 1, BaseLatency: sim.Second, GPUsPerReplica: -1},
-		"max < min":        {Name: "x", Replicas: 2, BaseLatency: sim.Second, MinReplicas: 4, MaxReplicas: 2},
-		"initial > max":    {Name: "x", Replicas: 9, BaseLatency: sim.Second, MaxReplicas: 4},
-		"negative window":  {Name: "x", Replicas: 1, BaseLatency: sim.Second, BatchWindow: -1},
+		"no name":         {Replicas: 1, BaseLatency: sim.Second},
+		"no replicas":     {Name: "x", BaseLatency: sim.Second},
+		"no base latency": {Name: "x", Replicas: 1},
+		"negative footpr": {Name: "x", Replicas: 1, BaseLatency: sim.Second, GPUsPerReplica: -1},
+		"max < min":       {Name: "x", Replicas: 2, BaseLatency: sim.Second, MinReplicas: 4, MaxReplicas: 2},
+		"initial > max":   {Name: "x", Replicas: 9, BaseLatency: sim.Second, MaxReplicas: 4},
+		"negative window": {Name: "x", Replicas: 1, BaseLatency: sim.Second, BatchWindow: -1},
 	}
 	for name, sd := range cases {
 		if err := sd.Validate(); err == nil {
