@@ -432,6 +432,42 @@ func BenchmarkPlacerSingleCore(b *testing.B) {
 	}
 }
 
+// BenchmarkPlaceMultiNode is the multi-node placement micro-benchmark: the
+// IMPECCABLE multi-node footprints (4 to 24 nodes) churn through a
+// 4096-node partition whose nodes are half full, one placement per op,
+// with the oldest of 64 live placements released as new ones land.
+func BenchmarkPlaceMultiNode(b *testing.B) {
+	const nodes, window = 4096, 64
+	cluster := platform.NewCluster(platform.Frontier(1), nodes)
+	alloc := cluster.Allocate(nodes)
+	plc := launch.NewPlacer(alloc)
+	var tds []*spec.TaskDescription
+	for _, p := range workload.ImpeccablePipelines() {
+		if td := p.Template.Make(); td.MultiNode() {
+			tds = append(tds, td)
+		}
+	}
+	// Fill every other node completely: half the partition has no room.
+	for id := 0; id < nodes; id += 2 {
+		pl := platform.NewSingleNodePlacement(id, cluster.Spec.Slots(), cluster.Spec.GPUs)
+		if err := alloc.Claim(0, pl); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var live []*platform.Placement
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(live) == window {
+			alloc.Release(0, live[0])
+			live = append(live[:0], live[1:]...)
+		}
+		if pl := plc.Place(0, tds[i%len(tds)]); pl != nil {
+			live = append(live, pl)
+		}
+	}
+}
+
 func BenchmarkFullPilotThroughput(b *testing.B) {
 	// End-to-end simulator cost: one 16-node flux pilot with a full
 	// 4-wave dummy workload per iteration.

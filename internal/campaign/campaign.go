@@ -99,11 +99,9 @@ type Campaign struct {
 }
 
 // New builds a campaign bound to the session and task manager. The task
-// manager's OnComplete hook is taken over by the campaign.
+// manager's OnComplete hook is taken over by the campaign. A non-positive
+// Nodes is reported by Start.
 func New(cfg Config, sess *core.Session, tm *core.TaskManager) *Campaign {
-	if cfg.Nodes <= 0 {
-		panic("campaign: Nodes must be positive")
-	}
 	if cfg.MinTasksPer128Nodes == 0 {
 		cfg.MinTasksPer128Nodes = 102
 	}
@@ -118,10 +116,10 @@ func New(cfg Config, sess *core.Session, tm *core.TaskManager) *Campaign {
 		specs = workload.ImpeccablePipelines()
 	}
 	for _, ps := range specs {
-		st := &pipelineState{
-			spec:  ps,
-			batch: BatchSize(ps, cfg.Nodes),
-			iters: Iterations(ps, cfg.Nodes),
+		st := &pipelineState{spec: ps}
+		if cfg.Nodes > 0 {
+			st.batch = BatchSize(ps, cfg.Nodes)
+			st.iters = Iterations(ps, cfg.Nodes)
 		}
 		if cfg.MaxIters > 0 && st.iters > cfg.MaxIters {
 			st.iters = cfg.MaxIters
@@ -210,6 +208,9 @@ func (c *Campaign) Start() error {
 	if c.started {
 		return fmt.Errorf("campaign: already started")
 	}
+	if c.cfg.Nodes <= 0 {
+		return fmt.Errorf("campaign: Nodes must be positive, got %d", c.cfg.Nodes)
+	}
 	c.started = true
 	min := c.cfg.MinTasksPer128Nodes * c.cfg.Nodes / 128
 	if c.cfg.MaxIters == 0 {
@@ -239,6 +240,7 @@ func (c *Campaign) submitIteration(st *pipelineState) {
 			n = 4 * st.batch
 		}
 	}
+	stage := fmt.Sprintf("i%03d.%s", st.curIter, tmpl.Stage)
 	tds := make([]*spec.TaskDescription, n)
 	for i := range tds {
 		td := tmpl.Make()
@@ -251,7 +253,7 @@ func (c *Campaign) submitIteration(st *pipelineState) {
 		}
 		td.MaxRetries = c.cfg.MaxRetries
 		td.Workflow = tmpl.Workflow
-		td.Stage = fmt.Sprintf("i%03d.%s", st.curIter, tmpl.Stage)
+		td.Stage = stage
 		tds[i] = td
 	}
 	st.pending = n

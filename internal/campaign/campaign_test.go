@@ -226,3 +226,21 @@ func TestDoubleStartErrors(t *testing.T) {
 		t.Fatal("second Start must error")
 	}
 }
+
+func TestNonPositiveNodesErrorsAtStart(t *testing.T) {
+	for _, nodes := range []int{0, -1} {
+		sess := core.NewSession(core.Config{Seed: 10})
+		pilot, err := sess.SubmitPilot(spec.PilotDescription{Nodes: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm := sess.TaskManager(pilot)
+		camp := New(Config{Nodes: nodes}, sess, tm)
+		if err := camp.Start(); err == nil {
+			t.Fatalf("Nodes=%d: Start must return an error", nodes)
+		}
+		if camp.TotalSubmitted() != 0 || camp.PlannedTotal() != 0 {
+			t.Fatalf("Nodes=%d: submitted %d, planned %d; want nothing", nodes, camp.TotalSubmitted(), camp.PlannedTotal())
+		}
+	}
+}

@@ -21,8 +21,10 @@ type Channel struct {
 	name     string
 	capacity float64 // bytes/s
 
-	// nActive and sumRate are rebuilt on every recompute.
+	// nActive, share (capacity/nActive) and sumRate are rebuilt on every
+	// recompute.
 	nActive int
+	share   float64
 	sumRate float64
 
 	// lastFrac is the last recorded occupancy (sumRate/capacity); the
@@ -153,11 +155,16 @@ func (s *System) recompute() {
 			ch.nActive++
 		}
 	}
+	for _, ch := range s.channels {
+		if ch.nActive > 0 {
+			ch.share = ch.capacity / float64(ch.nActive)
+		}
+	}
 	for _, f := range s.flows {
 		r := math.Inf(1)
 		for _, ch := range f.chans {
-			if share := ch.capacity / float64(ch.nActive); share < r {
-				r = share
+			if ch.share < r {
+				r = ch.share
 			}
 		}
 		f.rate = r
@@ -180,7 +187,7 @@ func (s *System) recompute() {
 			next = d
 		}
 	}
-	s.timer = s.eng.After(next, s.tick)
+	s.timer = s.eng.After(next, s.tickFn)
 }
 
 // flowETA converts remaining bytes at a rate to a Duration, never zero so

@@ -54,6 +54,9 @@ type System struct {
 	uidSeq uint64
 	lastT  sim.Time
 	timer  sim.Timer
+	// tickFn is s.tick bound once: a method value allocates each time it
+	// is taken, and recompute reschedules the tick on every flow change.
+	tickFn func()
 
 	// pendingNode coalesces concurrent stage-ins of the same dataset to
 	// the same node: the first request transfers, later ones join as
@@ -101,6 +104,7 @@ func NewSystem(eng *sim.Engine, alloc *platform.Allocation, p model.DataParams, 
 		cBytes:      tel.Counter("data.bytes_moved"),
 		gFlows:      tel.Gauge("data.active_flows"),
 	}
+	s.tickFn = s.tick
 	s.shared = &Channel{name: "sharedfs", capacity: p.SharedFSBandwidth(n)}
 	s.channels = append(s.channels, s.shared)
 	if bb := p.BurstBufferBandwidth(n); bb > 0 {
@@ -191,11 +195,29 @@ type pendingXfer struct {
 	waiters []func()
 }
 
-// nextUID numbers a transfer at API-call time.
+// nextUID numbers a transfer at API-call time, formatting "xfer.%06d"
+// without fmt.
 func (s *System) nextUID() string {
-	uid := fmt.Sprintf("xfer.%06d", s.uidSeq)
+	seq := s.uidSeq
 	s.uidSeq++
-	return uid
+	if seq >= 1000000 {
+		return fmt.Sprintf("xfer.%06d", seq)
+	}
+	buf := [11]byte{'x', 'f', 'e', 'r', '.', '0', '0', '0', '0', '0', '0'}
+	for i := len(buf) - 1; seq > 0; i-- {
+		buf[i] = byte('0' + seq%10)
+		seq /= 10
+	}
+	return string(buf[:])
+}
+
+// nvmeName names node's NVMe channel, also for nodes outside the
+// allocation (which have no channel).
+func (s *System) nvmeName(node int) string {
+	if ch := s.nvme[node]; ch != nil {
+		return ch.name
+	}
+	return fmt.Sprintf("nvme:%d", node)
 }
 
 // JoinPending registers fn to fire when an already in-flight stage-in of
@@ -252,7 +274,7 @@ func (s *System) StageToNode(task, dataset string, bytes int64, src spec.StageTi
 	lat := s.tierLatency(src) + s.params.NVMeLatency
 	s.startTransfer(chans, lat, transferInfo{
 		uid: uid, dataset: dataset, task: task, bytes: bytes,
-		src: srcCh.name, dst: fmt.Sprintf("nvme:%d", node), node: node,
+		src: srcCh.name, dst: s.nvmeName(node), node: node,
 	}, func() {
 		if s.nvme[node] != nil {
 			s.reg.RegisterNode(dataset, bytes, node)
@@ -278,7 +300,8 @@ func (s *System) StageToNode(task, dataset string, bytes int64, src spec.StageTi
 // producer ran.
 func (s *System) WriteFromNode(task, dataset string, bytes int64, node int, dest spec.StageTier, done func()) string {
 	var chans []*Channel
-	dstName := fmt.Sprintf("nvme:%d", node)
+	nvmeName := s.nvmeName(node)
+	dstName := nvmeName
 	if ch := s.nvme[node]; ch != nil {
 		chans = append(chans, ch)
 	}
@@ -292,7 +315,7 @@ func (s *System) WriteFromNode(task, dataset string, bytes int64, node int, dest
 	uid := s.nextUID()
 	s.startTransfer(chans, lat, transferInfo{
 		uid: uid, dataset: dataset, task: task, bytes: bytes,
-		src: fmt.Sprintf("nvme:%d", node), dst: dstName, node: node,
+		src: nvmeName, dst: dstName, node: node,
 	}, func() {
 		if s.nvme[node] != nil {
 			s.reg.RegisterNode(dataset, bytes, node)

@@ -6,6 +6,7 @@ package launch
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rpgo/internal/platform"
@@ -328,16 +329,21 @@ func (q *Queue) TakeAll() []*Request {
 // worker occupancy, and the agent's own scheduler for srun placement.
 //
 // Single-node requests use a ring cursor (O(1) amortized for uniform
-// workloads); multi-node requests take whole free nodes. Two indexes keep
-// the hot path off O(nodes) scans: an id→node map resolves data-affinity
-// hints in O(1), and a free-capacity watermark — recorded when a full scan
-// fails, invalidated by the cluster's capacity epoch on any release —
-// short-circuits placement attempts that cannot possibly succeed.
+// workloads); multi-node requests take the first nodes with room, walking
+// the cluster's open-node bitset instead of every partition node. A
+// partition is always an ascending contiguous run of cluster node IDs, so
+// a data-affinity hint resolves to its node by offset arithmetic, and a
+// free-capacity watermark — recorded when a full scan fails, invalidated
+// by the cluster's capacity epoch on any release — short-circuits
+// placement attempts that cannot possibly succeed.
 type Placer struct {
 	part   *platform.Allocation
 	cursor int
-	// byID maps node ID → index in part.Nodes (hint resolution).
-	byID map[int]int
+	// lo is the ID of part.Nodes[0]; part.Nodes[i] has ID lo+i.
+	lo int
+	// picked is the multi-node placer's reusable candidate buffer, so a
+	// failed attempt allocates nothing.
+	picked []int
 	// Watermark cache: when valid (epoch matches), no node in the
 	// partition had more than maxFreeCPU free CPU slots or maxFreeGPU
 	// free GPU slots at the time of the last failed full scan. Claims
@@ -358,13 +364,20 @@ type Placer struct {
 	Phase sim.PhaseFunc
 }
 
-// NewPlacer returns a placer over the partition.
+// NewPlacer returns a placer over the partition. It panics unless the
+// partition is an ascending contiguous run of its cluster's nodes, which
+// Allocate, Partition and Slice all guarantee.
 func NewPlacer(part *platform.Allocation) *Placer {
-	p := &Placer{part: part, byID: make(map[int]int, len(part.Nodes))}
-	for i, node := range part.Nodes {
-		p.byID[node.ID] = i
+	lo := 0
+	if len(part.Nodes) > 0 {
+		lo = part.Nodes[0].ID
 	}
-	return p
+	for i, node := range part.Nodes {
+		if lo+i >= part.Cluster.Size() || part.Cluster.Node(lo+i) != node {
+			panic(fmt.Sprintf("launch: partition node %d (ID %d) breaks the contiguous run from ID %d", i, node.ID, lo))
+		}
+	}
+	return &Placer{part: part, lo: lo}
 }
 
 // Partition returns the underlying allocation.
@@ -555,10 +568,10 @@ func (p *Placer) placePreferredOnly(at sim.Time, r *Request, prefer []int) *plat
 }
 
 // preferredNode resolves a hinted node ID to a partition node with enough
-// free capacity, nil otherwise. Resolution is O(1) through the id index.
+// free capacity, nil otherwise (also for IDs outside the partition).
 func (p *Placer) preferredNode(id, cores, gpus int) *platform.Node {
-	i, ok := p.byID[id]
-	if !ok {
+	i := id - p.lo
+	if i < 0 || i >= len(p.part.Nodes) {
 		return nil
 	}
 	node := p.part.Nodes[i]
@@ -651,39 +664,46 @@ func (p *Placer) placeMultiNode(at sim.Time, td *spec.TaskDescription, prefer []
 	if p.cannotFit(coresPerNode, gpusPerNode) {
 		return nil
 	}
-	var ids []int
-	taken := make(map[int]bool)
+	ids := p.picked[:0]
 	for _, id := range prefer {
 		if len(ids) == want {
 			break
 		}
-		if taken[id] {
+		if slices.Contains(ids, id) {
 			continue
 		}
 		if node := p.preferredNode(id, coresPerNode, gpusPerNode); node != nil {
 			ids = append(ids, node.ID)
-			taken[node.ID] = true
 		}
 	}
-	for _, node := range p.part.Nodes {
-		if len(ids) == want {
-			break
-		}
-		if taken[node.ID] {
+	// First fit over the rest of the partition in ID order. A node without
+	// free CPU cannot host even one core of the footprint, so only the
+	// open nodes need a look.
+	hinted := ids
+	cl := p.part.Cluster
+	hi := p.lo + len(p.part.Nodes)
+	for id := cl.NextOpen(p.lo, hi); id < hi && len(ids) < want; id = cl.NextOpen(id+1, hi) {
+		if slices.Contains(hinted, id) {
 			continue
 		}
+		node := p.part.Nodes[id-p.lo]
 		if node.FreeCPU() >= coresPerNode && node.FreeGPU() >= gpusPerNode {
-			ids = append(ids, node.ID)
+			ids = append(ids, id)
 		}
 	}
+	p.picked = ids[:0]
 	if len(ids) < want {
 		p.stats.ScanFailures++
 		return nil
 	}
-	pl := &platform.Placement{NodeIDs: ids}
-	pl.CPUSlots = make([]int, want)
-	pl.GPUSlots = make([]int, want)
-	for i := range ids {
+	slots := make([]int, 3*want)
+	pl := &platform.Placement{
+		NodeIDs:  slots[:want:want],
+		CPUSlots: slots[want : 2*want : 2*want],
+		GPUSlots: slots[2*want:],
+	}
+	copy(pl.NodeIDs, ids)
+	for i := range want {
 		pl.CPUSlots[i] = coresPerNode
 		pl.GPUSlots[i] = gpusPerNode
 	}

@@ -7,7 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
@@ -36,7 +36,7 @@ func ComputeThroughput(starts []sim.Time) Throughput {
 	}
 	ts := make([]sim.Time, len(starts))
 	copy(ts, starts)
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	slices.Sort(ts)
 
 	var tp Throughput
 	tp.Tasks = len(ts)
@@ -119,43 +119,55 @@ func (s *Series) Mean() float64 {
 
 // ConcurrencySeries builds the running-task count over time (the green
 // curves of Fig 8), sampled at each change, then downsampled to at most
-// maxPoints.
+// maxPoints. A zero-length task never runs over an interval, so it adds no
+// edges.
 func ConcurrencySeries(tasks []*profiler.TaskTrace, maxPoints int) Series {
-	type edge struct {
-		t sim.Time
-		d int
-	}
-	var edges []edge
+	// Each edge is one packed key t<<1|isStart: sorting the keys orders
+	// edges by time with ends before starts at the same instant.
+	keys := make([]int64, 0, 2*len(tasks))
 	for _, tr := range tasks {
-		if tr.Start >= 0 && tr.End >= 0 {
-			edges = append(edges, edge{tr.Start, +1}, edge{tr.End, -1})
+		if tr.Start >= 0 && tr.End > tr.Start {
+			keys = append(keys, int64(tr.Start)<<1|1, int64(tr.End)<<1)
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].t != edges[j].t {
-			return edges[i].t < edges[j].t
-		}
-		return edges[i].d < edges[j].d // ends before starts at the same instant
-	})
+	slices.Sort(keys)
+	// Downsample on the fly: the series keeps the first maximum of each
+	// stride of edges, exactly what Downsample would keep of the full one.
+	stride := 1
+	if maxPoints > 0 && len(keys) > maxPoints {
+		stride = (len(keys) + maxPoints - 1) / maxPoints
+	}
 	s := Series{Name: "running"}
-	cur := 0
-	for _, e := range edges {
-		cur += e.d
-		s.Points = append(s.Points, Point{T: e.t, V: float64(cur)})
+	if len(keys) > 0 {
+		s.Points = make([]Point, 0, (len(keys)+stride-1)/stride)
 	}
-	return Downsample(s, maxPoints)
+	cur := 0
+	for i, k := range keys {
+		if k&1 == 1 {
+			cur++
+		} else {
+			cur--
+		}
+		p := Point{T: sim.Time(k >> 1), V: float64(cur)}
+		if i%stride == 0 {
+			s.Points = append(s.Points, p)
+		} else if last := &s.Points[len(s.Points)-1]; p.V > last.V {
+			*last = p
+		}
+	}
+	return s
 }
 
 // RateSeries builds the execution start rate over time (the red curves of
 // Fig 8) using fixed windows of the given width.
 func RateSeries(tasks []*profiler.TaskTrace, window sim.Duration, maxPoints int) Series {
-	var starts []sim.Time
+	starts := make([]sim.Time, 0, len(tasks))
 	for _, tr := range tasks {
 		if tr.Start >= 0 {
 			starts = append(starts, tr.Start)
 		}
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	slices.Sort(starts)
 	s := Series{Name: "start_rate"}
 	if len(starts) == 0 || window <= 0 {
 		return s
@@ -188,8 +200,8 @@ func Downsample(s Series, n int) Series {
 	if n <= 0 || len(s.Points) <= n {
 		return s
 	}
-	out := Series{Name: s.Name}
 	stride := (len(s.Points) + n - 1) / n
+	out := Series{Name: s.Name, Points: make([]Point, 0, (len(s.Points)+stride-1)/stride)}
 	for i := 0; i < len(s.Points); i += stride {
 		end := i + stride
 		if end > len(s.Points) {

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -100,6 +101,84 @@ func TestConcurrencySeries(t *testing.T) {
 	// Final point must return to zero.
 	if last := s.Points[len(s.Points)-1]; last.V != 0 {
 		t.Fatalf("concurrency does not end at 0: %+v", last)
+	}
+}
+
+// TestConcurrencySeriesZeroDuration pins that a zero-length task adds no
+// edges: its own end must not be counted before its own start.
+func TestConcurrencySeriesZeroDuration(t *testing.T) {
+	at := func(us int64) sim.Time { return sim.Time(us * int64(sim.Microsecond)) }
+	span := func(uid string, s, e int64) *profiler.TaskTrace {
+		tr := profiler.NewTaskTrace(uid)
+		tr.Start, tr.End = at(s), at(e)
+		return tr
+	}
+	if s := ConcurrencySeries([]*profiler.TaskTrace{span("z", 5, 5)}, 0); len(s.Points) != 0 {
+		t.Fatalf("lone zero-length task: points %+v, want none", s.Points)
+	}
+	s := ConcurrencySeries([]*profiler.TaskTrace{span("a", 0, 10), span("z", 5, 5)}, 0)
+	want := []Point{{T: at(0), V: 1}, {T: at(10), V: 0}}
+	if len(s.Points) != len(want) {
+		t.Fatalf("points %+v, want %+v", s.Points, want)
+	}
+	for i := range want {
+		if s.Points[i] != want[i] {
+			t.Fatalf("points %+v, want %+v", s.Points, want)
+		}
+	}
+}
+
+// TestConcurrencySeriesMatchesEdgeSort checks the packed-key sort and the
+// on-the-fly downsampling against a struct sort of (time, delta) edges,
+// ends before starts at one instant, downsampled afterwards, on traces with
+// many coincident edges.
+func TestConcurrencySeriesMatchesEdgeSort(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		var tasks []*profiler.TaskTrace
+		for i := 0; i < 1+r.Intn(200); i++ {
+			tr := profiler.NewTaskTrace("t")
+			tr.Start = sim.Time(r.Intn(40)) * sim.Time(sim.Second)
+			tr.End = tr.Start + sim.Time(1+r.Intn(20))*sim.Time(sim.Second)
+			if r.Intn(10) == 0 {
+				tr.End = -1 // never finished
+			}
+			tasks = append(tasks, tr)
+		}
+		type edge struct {
+			t sim.Time
+			d int
+		}
+		var edges []edge
+		for _, tr := range tasks {
+			if tr.Start >= 0 && tr.End >= 0 {
+				edges = append(edges, edge{tr.Start, +1}, edge{tr.End, -1})
+			}
+		}
+		sort.Slice(edges, func(i, j int) bool {
+			if edges[i].t != edges[j].t {
+				return edges[i].t < edges[j].t
+			}
+			return edges[i].d < edges[j].d
+		})
+		full := Series{Name: "running"}
+		cur := 0
+		for _, e := range edges {
+			cur += e.d
+			full.Points = append(full.Points, Point{T: e.t, V: float64(cur)})
+		}
+		for _, maxPoints := range []int{0, 1, 7, 50, 1000} {
+			got := ConcurrencySeries(tasks, maxPoints).Points
+			want := Downsample(full, maxPoints).Points
+			if len(got) != len(want) {
+				t.Fatalf("trial %d max %d: %d points, want %d", trial, maxPoints, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d max %d point %d: %+v, want %+v", trial, maxPoints, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package platform
 
 import (
 	"fmt"
+	"math/bits"
 
 	"rpgo/internal/sim"
 )
@@ -84,6 +85,11 @@ func (n *Node) Exclusive() bool { return n.allocated }
 type Cluster struct {
 	Spec  NodeSpec
 	nodes []*Node
+	// open is the open-node bitset: bit i is set exactly while node i is up
+	// and has free CPU. Every multi-node footprint needs at least one core
+	// per node, so a node whose bit is clear can never host one — the
+	// multi-node placer walks the set bits instead of the whole partition.
+	open []uint64
 	// epoch counts capacity increases (releases). Placers cache negative
 	// placement results ("nothing ≥ this size fits") tagged with the
 	// epoch; any release invalidates those caches, claims never do —
@@ -101,7 +107,7 @@ func NewCluster(spec NodeSpec, n int) *Cluster {
 	if n <= 0 {
 		panic("platform: cluster needs at least one node")
 	}
-	c := &Cluster{Spec: spec}
+	c := &Cluster{Spec: spec, open: make([]uint64, (n+63)/64)}
 	c.nodes = make([]*Node, n)
 	for i := range c.nodes {
 		c.nodes[i] = &Node{
@@ -110,8 +116,41 @@ func NewCluster(spec NodeSpec, n int) *Cluster {
 			freeCPU: spec.Slots(),
 			freeGPU: spec.GPUs,
 		}
+		c.syncOpen(c.nodes[i])
 	}
 	return c
+}
+
+// syncOpen brings node n's bit in the open-node bitset up to date.
+func (c *Cluster) syncOpen(n *Node) {
+	w, b := n.ID>>6, uint64(1)<<(n.ID&63)
+	if !n.down && n.freeCPU > 0 {
+		c.open[w] |= b
+	} else {
+		c.open[w] &^= b
+	}
+}
+
+// NextOpen returns the lowest ID in [from, to) of a node that is up and
+// has free CPU, or to when there is none. It walks the open-node bitset a
+// word at a time, so scanning a mostly full range costs O(range/64).
+func (c *Cluster) NextOpen(from, to int) int {
+	if from >= to {
+		return to
+	}
+	w := from >> 6
+	word := c.open[w] &^ (uint64(1)<<(from&63) - 1)
+	for word == 0 {
+		w++
+		if w<<6 >= to {
+			return to
+		}
+		word = c.open[w]
+	}
+	if id := w<<6 + bits.TrailingZeros64(word); id < to {
+		return id
+	}
+	return to
 }
 
 // Size returns the number of nodes.
@@ -128,6 +167,7 @@ func (c *Cluster) FailNode(id int) bool {
 		return false
 	}
 	n.down = true
+	c.syncOpen(n)
 	c.epoch++
 	return true
 }
@@ -141,6 +181,7 @@ func (c *Cluster) RestoreNode(id int) bool {
 		return false
 	}
 	n.down = false
+	c.syncOpen(n)
 	c.epoch++
 	return true
 }
@@ -337,6 +378,7 @@ func (a *Allocation) Claim(at sim.Time, p *Placement) error {
 		n := a.Cluster.nodes[id]
 		n.freeCPU -= p.CPUSlots[i]
 		n.freeGPU -= p.GPUSlots[i]
+		a.Cluster.syncOpen(n)
 	}
 	_ = at // placement time is kept in the signature for symmetry and tracing hooks
 	return nil
@@ -352,6 +394,7 @@ func (a *Allocation) Release(at sim.Time, p *Placement) {
 		if n.freeCPU > n.Spec.Slots() || n.freeGPU > n.Spec.GPUs {
 			panic(fmt.Sprintf("platform: double release on node %d", id))
 		}
+		a.Cluster.syncOpen(n)
 	}
 	a.Cluster.epoch++
 	_ = at
