@@ -133,6 +133,31 @@ func RunFailureSweep(cfg FailureSweepConfig) FailureSweepResult {
 // workload and, per MTBF, the same failure schedule — the policy axis
 // isolates placement.
 func runFailureCell(cfg FailureSweepConfig, mtbf float64, pol spec.PlacementPolicy) FailureCell {
+	sess, pilot := runFailureSession(cfg, mtbf, pol)
+	cell := FailureCell{MTBF: mtbf, Policy: pol}
+	traces := sess.Profiler.Tasks()
+	cell.Makespan = metrics.Makespan(traces)
+	for _, tr := range traces {
+		if tr.Failed {
+			cell.Failed++
+		} else {
+			cell.Done++
+		}
+		cell.Retries += tr.Retries
+	}
+	rep := analytics.BlameFromTraces(traces)
+	cell.BlameFailure = rep.Blame[analytics.BlameFailure]
+	cell.BlameCheckpoint = rep.Blame[analytics.BlameCheckpoint]
+	cell.BytesMoved = pilot.Agent.Data().BytesMoved()
+	st := pilot.Faults.Stats()
+	cell.NodeFailures = st.NodeFailures
+	cell.Victims = st.Victims
+	return cell
+}
+
+// runFailureSession runs one cell's session to completion and returns it
+// with its pilot.
+func runFailureSession(cfg FailureSweepConfig, mtbf float64, pol spec.PlacementPolicy) (*core.Session, *core.Pilot) {
 	params := model.Default()
 	if cfg.Params != nil {
 		params = *cfg.Params
@@ -171,24 +196,5 @@ func runFailureCell(cfg FailureSweepConfig, mtbf float64, pol spec.PlacementPoli
 	if err := tm.Wait(); err != nil {
 		panic(fmt.Sprintf("experiments: failure sweep: %v", err))
 	}
-
-	cell := FailureCell{MTBF: mtbf, Policy: pol}
-	traces := sess.Profiler.Tasks()
-	cell.Makespan = metrics.Makespan(traces)
-	for _, tr := range traces {
-		if tr.Failed {
-			cell.Failed++
-		} else {
-			cell.Done++
-		}
-		cell.Retries += tr.Retries
-	}
-	rep := analytics.BlameFromTraces(traces)
-	cell.BlameFailure = rep.Blame[analytics.BlameFailure]
-	cell.BlameCheckpoint = rep.Blame[analytics.BlameCheckpoint]
-	cell.BytesMoved = pilot.Agent.Data().BytesMoved()
-	st := pilot.Faults.Stats()
-	cell.NodeFailures = st.NodeFailures
-	cell.Victims = st.Victims
-	return cell
+	return sess, pilot
 }
