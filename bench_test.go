@@ -15,6 +15,7 @@ import (
 
 	"rpgo/internal/analytics"
 	"rpgo/internal/core"
+	"rpgo/internal/data"
 	"rpgo/internal/experiments"
 	"rpgo/internal/launch"
 	"rpgo/internal/metrics"
@@ -350,6 +351,62 @@ func BenchmarkCheckpointPressure(b *testing.B) {
 	}
 	b.ReportMetric(occ, "pfs_occupancy")
 	b.ReportMetric(stageout, "stageout_s/task")
+}
+
+// BenchmarkDataFlowChurn is the data channels' micro-benchmark: one
+// System alone (no agent, no profiler) on a 64-node allocation takes a
+// staggered burst of 256 checkpoint-sized writes per op — three in four to
+// the shared FS through each node's NVMe, the rest node-local — so flows
+// keep entering and leaving contended channels while most of the
+// allocation's NVMe channels stay idle.
+func BenchmarkDataFlowChurn(b *testing.B) {
+	const nodes, writes = 64, 256
+	eng := sim.NewEngine()
+	alloc := platform.NewCluster(platform.Frontier(1), nodes).Allocate(nodes)
+	sys := data.NewSystem(eng, alloc, model.Default().Data, nil, nil)
+	done := func() {}
+	issue := make([]func(), writes)
+	for i := range issue {
+		ds := "ckpt." + itoa(i%nodes)
+		bytes := 64*data.MB + int64(i%7)*16*data.MB
+		dest := spec.TierSharedFS
+		if i%4 == 3 {
+			dest = spec.TierNodeLocal
+		}
+		node := (i * 5) % nodes
+		issue[i] = func() { sys.WriteFromNode("t", ds, bytes, node, dest, done) }
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, fn := range issue {
+			eng.After(sim.Duration(j)*200*sim.Microsecond, fn)
+		}
+		eng.Run()
+	}
+	b.ReportMetric(float64(sys.BytesMoved())/float64(b.N)/float64(data.GB), "GB_moved/op")
+	b.ReportMetric(1, "shards")
+}
+
+// BenchmarkFailureSweepCell runs one data-aware cell of the MTBF sweep at
+// MTBF=120 s: a 16×16 checkpointed training fan-out on 16 nodes under node
+// churn — the data channels, registry, relocation and checkpoint restore
+// together. The seed is fixed, so every op simulates the same run.
+func BenchmarkFailureSweepCell(b *testing.B) {
+	var cell experiments.FailureCell
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cell = experiments.RunFailureSweep(experiments.FailureSweepConfig{
+			Nodes: 16, MTBFs: []float64{120}, Policies: []spec.PlacementPolicy{spec.PlaceDataAware},
+			NodeDowntime: 60, Horizon: 1200,
+			Shards: 16, TasksPerShard: 16, ShardBytes: 1 << 28, TaskSeconds: 120,
+			CheckpointSeconds: 10, CheckpointBytes: 1 << 27, MaxRetries: 5, Seed: 8009,
+		}).Cells[0]
+	}
+	b.ReportMetric(cell.Makespan.Seconds(), "makespan_s")
+	b.ReportMetric(float64(cell.Retries), "retries")
+	b.ReportMetric(float64(cell.NodeFailures), "node_failures")
+	b.ReportMetric(1, "shards")
 }
 
 // --- Ablations: the design choices DESIGN.md calls out ---

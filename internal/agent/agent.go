@@ -501,15 +501,24 @@ func (a *Agent) forward(g *executorGroup, t *Task) {
 	if body == nil && len(t.TD.Requests) > 0 {
 		body = a.coupledBody(t)
 	}
-	var placed []int
 	// Plain fixed-Duration bodies get a fault-aware compute body when a
 	// straggler model is installed or the task checkpoints: exec time
 	// stretches with the slowest placed node, and checkpoint writes /
 	// restores ride the data subsystem.
 	faulty := body == nil && !t.TD.Service &&
 		(a.slowFactor != nil || t.TD.Checkpointed())
+	// placed receives the node IDs the backend claims (OnPlaced fires
+	// before the body starts); only bodies that read it allocate it.
+	var placed *[]int
+	var staged *stageRec
+	if t.TD.HasStaging() {
+		staged = &stageRec{a: a, td: t.TD}
+		placed = &staged.placed
+	} else if faulty {
+		placed = new([]int)
+	}
 	if faulty {
-		body = a.computeBody(t, &placed)
+		body = a.computeBody(t, placed)
 	}
 	rec := &dispatchRec{a: a, g: g, t: t, idx: idx}
 	rec.req = launch.Request{
@@ -519,15 +528,15 @@ func (a *Agent) forward(g *executorGroup, t *Task) {
 		Events: rec,
 		Trace:  t.Trace,
 	}
-	if t.TD.HasStaging() {
+	if staged != nil {
 		// Late-bound: backends evaluate the preference at placement
 		// time, when the registry reflects every transfer completed (or
 		// started) while the task sat in the backend queue.
-		rec.req.Prefer = func() []int { return a.preferNodes(t.TD) }
-		rec.req.OnPlaced = func(at sim.Time, nodeIDs []int) { placed = nodeIDs }
-		rec.req.Body = a.dataBody(t, body, &placed)
+		rec.req.Prefer = staged.prefer
+		rec.req.OnPlaced = staged.onPlaced
+		rec.req.Body = a.dataBody(t, body, placed)
 	} else if faulty {
-		rec.req.OnPlaced = func(at sim.Time, nodeIDs []int) { placed = nodeIDs }
+		rec.req.OnPlaced = func(at sim.Time, nodeIDs []int) { *placed = nodeIDs }
 	}
 	if b := rec.req.Body; b != nil {
 		// Generation-guard the completion: after a mid-run crash and

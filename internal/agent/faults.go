@@ -154,116 +154,167 @@ func (a *Agent) retryBackoff(attempt int) float64 {
 // that each end with a synchronous checkpoint write through the data
 // subsystem (contending for shared-FS bandwidth like any flow). After a
 // failure the relocated attempt stages the last checkpoint back to its new
-// primary node — skipped when the node already holds it — and resumes from
-// the saved fraction. Every continuation is generation-guarded, so a stale
+// primary node — skipped when the node already holds it, and riding the
+// stage-in when one is already in flight there — and resumes from the
+// saved fraction. Every continuation is generation-guarded, so a stale
 // attempt's timers and transfer completions are inert.
 func (a *Agent) computeBody(t *Task, placed *[]int) func(sim.Time, func()) {
-	gen := t.gen
-	live := func() bool { return t.gen == gen }
-	return func(start sim.Time, done func()) {
-		total := t.TD.Duration
-		if a.slowFactor != nil {
-			f := 1.0
-			for _, n := range *placed {
-				if sf := a.slowFactor(n); sf > f {
-					f = sf
-				}
-			}
-			if f > 1 {
-				total = sim.Duration(float64(total) * f)
+	r := &computeRun{a: a, t: t, gen: t.gen, placed: placed}
+	return r.body
+}
+
+// computeRun is one dispatch attempt of a fault-aware compute body. The
+// one record carries the attempt's generation guard, its stretched work
+// and the checkpoint loop's state; segment ends and the finish are
+// scheduled through the agent's prebound callbacks, and writeDoneFn is
+// bound once per attempt, so a checkpoint segment allocates nothing here.
+type computeRun struct {
+	a      *Agent
+	t      *Task
+	gen    int
+	placed *[]int
+	done   func()
+
+	total   sim.Duration
+	segFrac float64
+	node    int
+	ds      string
+	// ws is when the in-flight checkpoint write or restore began; xuid
+	// names its transfer; inBytes is what a restore adds to BytesIn (zero
+	// when it rides another attempt's stage-in).
+	ws          sim.Time
+	xuid        string
+	inBytes     int64
+	writeDoneFn func()
+}
+
+func (r *computeRun) live() bool { return r.t.gen == r.gen }
+
+func computeSegEnd(x any) { x.(*computeRun).segEnd() }
+
+func computeFinish(x any) {
+	if r := x.(*computeRun); r.live() {
+		r.done()
+	}
+}
+
+func (r *computeRun) body(start sim.Time, done func()) {
+	a, t := r.a, r.t
+	r.done = done
+	total := t.TD.Duration
+	if a.slowFactor != nil {
+		f := 1.0
+		for _, n := range *r.placed {
+			if sf := a.slowFactor(n); sf > f {
+				f = sf
 			}
 		}
-		if !t.TD.Checkpointed() || t.TD.Duration <= 0 {
-			a.eng.After(total, func() {
-				if live() {
-					done()
-				}
-			})
+		if f > 1 {
+			total = sim.Duration(float64(total) * f)
+		}
+	}
+	r.total = total
+	if !t.TD.Checkpointed() || t.TD.Duration <= 0 {
+		a.eng.AfterCall(total, computeFinish, r)
+		return
+	}
+	r.node = -1
+	if len(*r.placed) > 0 {
+		r.node = (*r.placed)[0]
+	}
+	// Work is tracked as a fraction of the original Duration, so the
+	// saved fraction carries across relocations even when the new
+	// node's straggler factor differs.
+	r.segFrac = float64(t.TD.CheckpointInterval) / float64(t.TD.Duration)
+	r.ds = "ckpt." + t.TD.UID
+	r.writeDoneFn = r.writeDone
+	if t.ckptSaved {
+		if r.node >= 0 && !a.dataSys.Registry().HasNode(r.ds, r.node) {
+			// Restore: stage the checkpoint to the new primary node
+			// before resuming.
+			r.ws = a.eng.Now()
+			restored := r.restoreDone
+			if uid, ok := a.dataSys.JoinPending(r.ds, r.node, restored); ok {
+				// An earlier attempt's restore to this node is still in
+				// flight: ride it instead of staging a second copy.
+				r.xuid = uid
+				t.Trace.DataHits++
+				a.dataSys.RecordHit()
+				return
+			}
+			t.Trace.DataMisses++
+			a.dataSys.RecordMiss()
+			r.inBytes = t.TD.CheckpointBytes
+			r.xuid = a.dataSys.StageToNode(t.TD.UID, r.ds, t.TD.CheckpointBytes,
+				t.TD.CheckpointDest, r.node, restored)
 			return
 		}
-		node := -1
-		if len(*placed) > 0 {
-			node = (*placed)[0]
-		}
-		// Work is tracked as a fraction of the original Duration, so the
-		// saved fraction carries across relocations even when the new
-		// node's straggler factor differs.
-		segFrac := float64(t.TD.CheckpointInterval) / float64(t.TD.Duration)
-		ds := "ckpt." + t.TD.UID
-		var step func()
-		step = func() {
-			if !live() {
-				return
-			}
-			remain := 1 - t.ckptFrac
-			if remain <= 1e-9 {
-				done()
-				return
-			}
-			if segFrac >= remain {
-				// Final partial segment: finish without another write.
-				a.eng.After(sim.Duration(remain*float64(total)), func() {
-					if live() {
-						done()
-					}
-				})
-				return
-			}
-			a.eng.After(sim.Duration(segFrac*float64(total)), func() {
-				if !live() {
-					return
-				}
-				ws := a.eng.Now()
-				var xuid string
-				xuid = a.dataSys.WriteFromNode(t.TD.UID, ds, t.TD.CheckpointBytes,
-					node, t.TD.CheckpointDest, func() {
-						if !live() {
-							return
-						}
-						now := a.eng.Now()
-						if now > ws {
-							t.Trace.AddEdge(profiler.CausalEdge{
-								Kind: profiler.EdgeCheckpoint, From: ws, To: now, Ref: xuid,
-							})
-						}
-						t.Trace.BytesOut += t.TD.CheckpointBytes
-						// The fraction advances only once the image is
-						// durable: dying mid-write restarts the segment.
-						t.ckptFrac += segFrac
-						t.ckptSaved = true
-						step()
-					})
-			})
-		}
-		if t.ckptSaved {
-			if node >= 0 && !a.dataSys.Registry().HasNode(ds, node) {
-				// Restore: stage the checkpoint to the new primary node
-				// before resuming.
-				t.Trace.DataMisses++
-				a.dataSys.RecordMiss()
-				rs := a.eng.Now()
-				var ruid string
-				ruid = a.dataSys.StageToNode(t.TD.UID, ds, t.TD.CheckpointBytes,
-					t.TD.CheckpointDest, node, func() {
-						if !live() {
-							return
-						}
-						now := a.eng.Now()
-						if now > rs {
-							t.Trace.AddEdge(profiler.CausalEdge{
-								Kind: profiler.EdgeCheckpoint, From: rs, To: now, Ref: ruid,
-							})
-						}
-						t.Trace.BytesIn += t.TD.CheckpointBytes
-						step()
-					})
-				return
-			}
-			// Relocated onto a node that still holds the image (or the
-			// same node): restore is a local read.
-			t.Trace.DataHits++
-			a.dataSys.RecordHit()
-		}
-		step()
+		// Relocated onto a node that still holds the image (or the
+		// same node): restore is a local read.
+		t.Trace.DataHits++
+		a.dataSys.RecordHit()
+	}
+	r.step()
+}
+
+// step schedules the next segment: a checkpointed one, or the final
+// partial one that finishes without another write.
+func (r *computeRun) step() {
+	if !r.live() {
+		return
+	}
+	remain := 1 - r.t.ckptFrac
+	if remain <= 1e-9 {
+		r.done()
+		return
+	}
+	if r.segFrac >= remain {
+		r.a.eng.AfterCall(sim.Duration(remain*float64(r.total)), computeFinish, r)
+		return
+	}
+	r.a.eng.AfterCall(sim.Duration(r.segFrac*float64(r.total)), computeSegEnd, r)
+}
+
+// segEnd writes the segment's checkpoint image out.
+func (r *computeRun) segEnd() {
+	if !r.live() {
+		return
+	}
+	t := r.t
+	r.ws = r.a.eng.Now()
+	r.xuid = r.a.dataSys.WriteFromNode(t.TD.UID, r.ds, t.TD.CheckpointBytes,
+		r.node, t.TD.CheckpointDest, r.writeDoneFn)
+}
+
+// writeDone advances the saved fraction once the image is durable: dying
+// mid-write restarts the segment.
+func (r *computeRun) writeDone() {
+	if !r.live() {
+		return
+	}
+	t := r.t
+	r.edge()
+	t.Trace.BytesOut += t.TD.CheckpointBytes
+	t.ckptFrac += r.segFrac
+	t.ckptSaved = true
+	r.step()
+}
+
+// restoreDone resumes the attempt once its checkpoint image is local.
+func (r *computeRun) restoreDone() {
+	if !r.live() {
+		return
+	}
+	r.edge()
+	r.t.Trace.BytesIn += r.inBytes
+	r.step()
+}
+
+// edge records the checkpoint transfer the attempt just waited on.
+func (r *computeRun) edge() {
+	if now := r.a.eng.Now(); now > r.ws {
+		r.t.Trace.AddEdge(profiler.CausalEdge{
+			Kind: profiler.EdgeCheckpoint, From: r.ws, To: now, Ref: r.xuid,
+		})
 	}
 }

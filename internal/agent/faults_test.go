@@ -281,3 +281,69 @@ func TestCrashRestartInstance(t *testing.T) {
 		t.Fatalf("done = %d, want 20", done)
 	}
 }
+
+// TestRestoreRidesInFlightStageIn: a retried attempt that lands on the
+// node its previous attempt was still restoring the checkpoint to rides
+// that stage-in (a locality hit) instead of issuing a second one. One
+// node forces every attempt onto node 0; evicting the replica forces a
+// restore; crashing the backend mid-restore makes the next attempt arrive
+// while it is still in flight.
+func TestRestoreRidesInFlightStageIn(t *testing.T) {
+	r := newRig(t, spec.PilotDescription{
+		Nodes:      1,
+		Partitions: []spec.PartitionConfig{{Backend: spec.BackendFlux, Instances: 1}},
+	})
+	r.agent.EnableElasticity()
+	// ~55 s per checkpoint transfer through a 5 GB/s NVMe: the restore
+	// outlasts the backend's restart and the retry backoff.
+	const ckptBytes = 1 << 38
+	tk := r.task(&spec.TaskDescription{
+		CoresPerRank: 1, Ranks: 1,
+		Duration:           200 * sim.Second,
+		MaxRetries:         5,
+		CheckpointInterval: 20 * sim.Second,
+		CheckpointBytes:    ckptBytes,
+	}, "ck")
+	doneCount := 0
+	r.agent.Submit(tk, func(*Task) { doneCount++ })
+	sys := r.agent.Data()
+
+	stepUntil := func(cond func() bool, what string) {
+		t.Helper()
+		for !cond() {
+			if r.eng.Now() > sim.Time(1000*sim.Second) {
+				t.Fatalf("%s never happened", what)
+			}
+			r.eng.RunUntil(r.eng.Now().Add(100 * sim.Millisecond))
+		}
+	}
+	stepUntil(func() bool { return tk.ckptSaved }, "a durable checkpoint")
+	sys.Registry().Evict("ckpt.ck", 0)
+	crash := func() {
+		t.Helper()
+		if !r.agent.CrashInstance(0, "injected crash") || !r.agent.RestartInstance(0) {
+			t.Fatal("crash/restart refused")
+		}
+	}
+	crash()
+	stepUntil(func() bool { return len(sys.PendingNodes("ckpt.ck")) > 0 }, "the retried attempt's restore")
+	hitsBefore := tk.Trace.DataHits
+	crash()
+	r.eng.Run()
+
+	if doneCount != 1 || tk.State != states.TaskDone {
+		t.Fatalf("task not done: state %v, callbacks %d (%s)", tk.State, doneCount, tk.Reason)
+	}
+	restores := 0
+	for _, tt := range r.prof.TransfersFor("ckpt.ck") {
+		if tt.Dst == "nvme:0" && tt.Src == "sharedfs" {
+			restores++
+		}
+	}
+	if restores != 1 {
+		t.Fatalf("%d restore stage-ins of the checkpoint, want 1 (the second attempt rides the first)", restores)
+	}
+	if tk.Trace.DataHits <= hitsBefore {
+		t.Fatal("riding the in-flight restore was not counted as a locality hit")
+	}
+}

@@ -17,7 +17,8 @@ package agent
 // breaking ties.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
@@ -83,6 +84,43 @@ func (a *Agent) stageInShared(t *Task) {
 	})
 }
 
+// stageRec is the per-dispatch record of a task with sized staging: the
+// node IDs its placement claimed, and its data-aware preference list,
+// cached under the key of the locality versions it was built from.
+type stageRec struct {
+	a      *Agent
+	td     *spec.TaskDescription
+	placed []int
+	pref   []int
+	key    uint64
+	cached bool
+}
+
+func (s *stageRec) onPlaced(_ sim.Time, nodeIDs []int) { s.placed = nodeIDs }
+
+// prefer returns preferNodes for the task, rebuilding it only when the
+// locality of one of its node-local inputs changed. The key is
+// Σ(version+1) over those inputs: versions only grow, so any change moves
+// the key. Backends call it on every scheduling pump for every hinted
+// request in the affinity window, far more often than placements happen.
+func (s *stageRec) prefer() []int {
+	a := s.a
+	if a.desc.Placement != spec.PlaceDataAware {
+		return nil
+	}
+	reg := a.dataSys.Registry()
+	var key uint64
+	for i := range s.td.InputData {
+		if d := &s.td.InputData[i]; d.Dest == spec.TierNodeLocal {
+			key += reg.Version(d.Dataset) + 1
+		}
+	}
+	if !s.cached || key != s.key {
+		s.pref, s.key, s.cached = a.preferNodes(s.td), key, true
+	}
+	return s.pref
+}
+
 // preferNodes builds the placement preference list for a task under the
 // data-aware policy: nodes already holding its node-local input datasets,
 // ordered by bytes held descending, node ID ascending. Under the pack
@@ -113,11 +151,11 @@ func (a *Agent) preferNodes(td *spec.TaskDescription) []int {
 	for n := range score {
 		ids = append(ids, n)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if score[ids[i]] != score[ids[j]] {
-			return score[ids[i]] > score[ids[j]]
+	slices.SortFunc(ids, func(x, y int) int {
+		if c := cmp.Compare(score[y], score[x]); c != 0 {
+			return c
 		}
-		return ids[i] < ids[j]
+		return cmp.Compare(x, y)
 	})
 	return ids
 }

@@ -7,6 +7,7 @@ package agent
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"rpgo/internal/data"
@@ -294,5 +295,57 @@ func TestStagingDeterminism(t *testing.T) {
 		if len(t1) == 0 {
 			t.Fatalf("%v: no transfers recorded", policy)
 		}
+	}
+}
+
+// TestPreferenceCacheMatchesFresh: the per-dispatch preference cache
+// returns exactly what a fresh preferNodes builds, at every point of a
+// data-aware run with stage-ins in flight, coalescing riders, a node
+// failure that evicts replicas, and tasks with more than one node-local
+// input.
+func TestPreferenceCacheMatchesFresh(t *testing.T) {
+	r := newRig(t, spec.PilotDescription{Nodes: 4, Placement: spec.PlaceDataAware})
+	tds := workload.TrainingFanout(3, 8, 2*data.GB, 20*sim.Second)
+	for i, td := range tds {
+		if i%2 == 1 {
+			td.InputData = append(td.InputData, spec.StagingDirective{
+				Dataset: "aux", SizeBytes: data.GB, Source: spec.TierSharedFS, Dest: spec.TierNodeLocal,
+			})
+		}
+	}
+	recs := make([]*stageRec, len(tds))
+	for i, td := range tds {
+		recs[i] = &stageRec{a: r.agent, td: td}
+		r.agent.Submit(r.task(td, "p."+itoa6(i)), func(*Task) {})
+	}
+	hits, rebuilds := 0, 0
+	check := func() {
+		for _, sr := range recs {
+			key, cached := sr.key, sr.cached
+			got := sr.prefer()
+			if want := r.agent.preferNodes(sr.td); !slices.Equal(got, want) {
+				t.Fatalf("at %v: cached preference %v, fresh %v", r.eng.Now(), got, want)
+			}
+			if cached && sr.key == key {
+				hits++
+			} else {
+				rebuilds++
+			}
+		}
+	}
+	failed := false
+	for r.eng.Pending() > 0 {
+		r.eng.RunUntil(r.eng.Now().Add(5 * sim.Millisecond))
+		check()
+		if !failed && r.eng.Now() > sim.Time(15*sim.Second) {
+			failed = true
+			r.agent.alloc.Cluster.FailNode(1)
+			r.agent.FailNode(1, "test failure")
+			check()
+		}
+	}
+	t.Logf("%d hits, %d rebuilds", hits, rebuilds)
+	if hits == 0 || rebuilds < len(recs)+1 {
+		t.Fatalf("cache never exercised both ways: %d hits, %d rebuilds", hits, rebuilds)
 	}
 }

@@ -7,13 +7,16 @@ package data
 // channel's fair share capacity/nActive. Whenever a flow starts or
 // finishes, the System recomputes every active rate and reschedules the
 // next completion — the classic flow-level network model, driven entirely
-// through the deterministic event engine.
+// through the deterministic event engine. A recompute costs
+// O(flows + live channels): channels no flow has touched since their
+// occupancy last returned to zero are never visited.
 
 import (
 	"math"
 
 	"rpgo/internal/metrics"
 	"rpgo/internal/sim"
+	"rpgo/internal/spec"
 )
 
 // Channel is one shared-bandwidth link.
@@ -22,7 +25,8 @@ type Channel struct {
 	capacity float64 // bytes/s
 
 	// nActive, share (capacity/nActive) and sumRate are rebuilt on every
-	// recompute.
+	// recompute while the channel is live.
+	live    bool
 	nActive int
 	share   float64
 	sumRate float64
@@ -103,15 +107,41 @@ func (c *Channel) MeanOccupancy(start, end sim.Time) float64 {
 	return busy / span
 }
 
-// flow is one in-flight transfer.
+// flowKind selects what a finished transfer does to the registry.
+type flowKind uint8
+
+const (
+	flowStage flowKind = iota // shared tier → node: node replica, coalescable
+	flowWrite                 // node → tier: node replica and tier presence
+	flowTier                  // tier → tier: tier presence, coalescable
+)
+
+// flow is one transfer, from the API call to its completion: the setup
+// delay, the contention sweeps and the completion callback all carry the
+// same record.
 type flow struct {
-	seq       uint64
+	kind      flowKind
+	nch       uint8
+	chans     [2]*Channel
 	remaining float64 // bytes left
 	rate      float64 // bytes/s, current fair share
-	chans     []*Channel
+	dest      spec.StageTier
 	tt        transferInfo
 	done      func()
+	// waiters are the coalesced callers riding this transfer.
+	waiters []func()
 }
+
+// link appends ch to the channels the flow traverses (nil is no link).
+func (f *flow) link(ch *Channel) {
+	if ch != nil {
+		f.chans[f.nch] = ch
+		f.nch++
+	}
+}
+
+// links returns the channels the flow traverses, in link order.
+func (f *flow) links() []*Channel { return f.chans[:f.nch] }
 
 type transferInfo struct {
 	uid     string
@@ -144,50 +174,67 @@ func (s *System) advance() {
 }
 
 // recompute redistributes fair shares and reschedules the next completion.
-// It must run at the current time with advance already applied.
+// It must run at the current time with advance already applied. Only live
+// channels are swept: every channel a flow traverses is live, and a
+// channel leaves the list in the sweep that notes its occupancy back to
+// zero — after which noting zero again would be a no-op, so skipping it
+// changes nothing.
 func (s *System) recompute() {
-	for _, ch := range s.channels {
+	for _, ch := range s.live {
 		ch.nActive = 0
 		ch.sumRate = 0
 	}
 	for _, f := range s.flows {
-		for _, ch := range f.chans {
+		for _, ch := range f.links() {
 			ch.nActive++
 		}
 	}
-	for _, ch := range s.channels {
+	for _, ch := range s.live {
 		if ch.nActive > 0 {
 			ch.share = ch.capacity / float64(ch.nActive)
 		}
 	}
+	// The next completion is the flow with the least remaining/rate:
+	// flowETA is monotone in that ratio, and a drained flow (ratio taken
+	// as -1) is due at once.
+	var first *flow
+	least := math.Inf(1)
 	for _, f := range s.flows {
 		r := math.Inf(1)
-		for _, ch := range f.chans {
+		for _, ch := range f.links() {
 			if ch.share < r {
 				r = ch.share
 			}
 		}
 		f.rate = r
-		for _, ch := range f.chans {
+		for _, ch := range f.links() {
 			ch.sumRate += r
+		}
+		q := -1.0
+		if f.remaining > 0 {
+			q = f.remaining / r
+		}
+		if first == nil || q < least {
+			first, least = f, q
 		}
 	}
 	now := s.eng.Now()
-	for _, ch := range s.channels {
+	kept := s.live[:0]
+	for _, ch := range s.live {
 		ch.note(now, ch.sumRate/ch.capacity)
-	}
-	s.timer.Stop()
-	if len(s.flows) == 0 {
-		return
-	}
-	next := sim.Duration(-1)
-	for _, f := range s.flows {
-		d := flowETA(f.remaining, f.rate)
-		if next < 0 || d < next {
-			next = d
+		if ch.nActive > 0 {
+			kept = append(kept, ch)
+		} else {
+			ch.live = false
 		}
 	}
-	s.timer = s.eng.After(next, s.tickFn)
+	clear(s.live[len(kept):])
+	s.live = kept
+	s.timer.Stop()
+	if first == nil {
+		return
+	}
+	s.timer = s.eng.After(flowETA(first.remaining, first.rate), s.tickFn)
 }
 
 // flowETA converts remaining bytes at a rate to a Duration, never zero so
@@ -208,7 +255,7 @@ func flowETA(remaining, rate float64) sim.Duration {
 func (s *System) tick() {
 	s.advance()
 	kept := s.flows[:0]
-	var finished []*flow
+	finished := s.finished[:0]
 	for _, f := range s.flows {
 		// Tolerate one microsecond's worth of rounding: the engine
 		// quantizes time to µs, so a flow within rate·1µs of empty is
@@ -219,12 +266,13 @@ func (s *System) tick() {
 			kept = append(kept, f)
 		}
 	}
+	clear(s.flows[len(kept):])
 	s.flows = kept
 	now := s.eng.Now()
 	for _, f := range finished {
 		s.bytesMoved += f.tt.bytes
 		s.cBytes.Add(uint64(f.tt.bytes))
-		for _, ch := range f.chans {
+		for _, ch := range f.links() {
 			ch.bytes += f.tt.bytes
 		}
 		s.finishTransfer(f, now)
@@ -232,5 +280,7 @@ func (s *System) tick() {
 	if len(finished) > 0 {
 		s.gFlows.Set(now, float64(len(s.flows)))
 	}
+	clear(finished)
+	s.finished = finished
 	s.recompute()
 }

@@ -13,7 +13,8 @@ package data
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"rpgo/internal/model"
 	"rpgo/internal/obs"
@@ -39,31 +40,40 @@ type System struct {
 
 	shared *Channel
 	burst  *Channel // nil when the tier is disabled
-	nvme   map[int]*Channel
-	// channels lists every channel for advance/recompute sweeps, in a
-	// fixed deterministic order.
-	channels []*Channel
+	// nvme holds node lo+i's NVMe channel at index i, built on the node's
+	// first transfer: most nodes of a large allocation never move bytes.
+	nvme []*Channel
+	lo   int
+	// live lists the channels the flow sweeps visit: a channel joins when
+	// a flow enters it and leaves once its occupancy has been noted back
+	// to zero.
+	live []*Channel
 
 	reg *Registry
 
 	flows []*flow
-	seq   uint64
+	// finished is tick's reused scratch list of completing flows.
+	finished []*flow
 	// uidSeq numbers transfers for causal references; assigned when the
 	// transfer API is called (before setup latency) so coalescing joiners
 	// can name the movement they ride.
 	uidSeq uint64
 	lastT  sim.Time
 	timer  sim.Timer
-	// tickFn is s.tick bound once: a method value allocates each time it
-	// is taken, and recompute reschedules the tick on every flow change.
-	tickFn func()
+	// tickFn, beginFn and completeFn are bound once: a method value
+	// allocates each time it is taken, and every transfer schedules its
+	// begin and completion while recompute reschedules the tick on every
+	// flow change.
+	tickFn     func()
+	beginFn    func(any)
+	completeFn func(any)
 
 	// pendingNode coalesces concurrent stage-ins of the same dataset to
 	// the same node: the first request transfers, later ones join as
 	// waiters — one copy moves no matter how many tasks want it.
 	// pendingTier does the same for tier-to-tier transfers.
-	pendingNode map[string]map[int]*pendingXfer
-	pendingTier map[string]map[spec.StageTier]*pendingXfer
+	pendingNode map[nodeKey]*flow
+	pendingTier map[tierKey]*flow
 
 	hits       int
 	misses     int
@@ -78,9 +88,21 @@ type System struct {
 	gFlows     *obs.Gauge
 }
 
-// NewSystem builds the storage model over the allocation's nodes. Zero or
-// negative bandwidth dials fall back to the calibrated defaults so a
-// partially filled Params cannot divide by zero.
+type nodeKey struct {
+	dataset string
+	node    int
+}
+
+type tierKey struct {
+	dataset string
+	tier    spec.StageTier
+}
+
+// NewSystem builds the storage model over the allocation's nodes, which
+// must be an ascending contiguous run of node IDs (as every allocation,
+// partition and slice of a cluster is). Zero or negative bandwidth dials
+// fall back to the calibrated defaults so a partially filled Params cannot
+// divide by zero.
 func NewSystem(eng *sim.Engine, alloc *platform.Allocation, p model.DataParams, prof *profiler.Profiler, tel *obs.Registry) *System {
 	def := model.Default().Data
 	if p.NVMeBandwidth <= 0 {
@@ -94,27 +116,30 @@ func NewSystem(eng *sim.Engine, alloc *platform.Allocation, p model.DataParams, 
 		eng:         eng,
 		prof:        prof,
 		params:      p,
-		nvme:        make(map[int]*Channel, n),
+		nvme:        make([]*Channel, n),
 		reg:         NewRegistry(),
-		pendingNode: make(map[string]map[int]*pendingXfer),
-		pendingTier: make(map[string]map[spec.StageTier]*pendingXfer),
+		pendingNode: make(map[nodeKey]*flow),
+		pendingTier: make(map[tierKey]*flow),
 		cTransfers:  tel.Counter("data.transfers"),
 		cCoalesced:  tel.Counter("data.coalesced_joins"),
 		cStalls:     tel.Counter("data.contention_stalls"),
 		cBytes:      tel.Counter("data.bytes_moved"),
 		gFlows:      tel.Gauge("data.active_flows"),
 	}
+	if n > 0 {
+		s.lo = alloc.Nodes[0].ID
+	}
+	for i, node := range alloc.Nodes {
+		if node.ID != s.lo+i {
+			panic(fmt.Sprintf("data: allocation node %d (ID %d) breaks the contiguous run from ID %d", i, node.ID, s.lo))
+		}
+	}
 	s.tickFn = s.tick
+	s.beginFn = s.begin
+	s.completeFn = s.complete
 	s.shared = &Channel{name: "sharedfs", capacity: p.SharedFSBandwidth(n)}
-	s.channels = append(s.channels, s.shared)
 	if bb := p.BurstBufferBandwidth(n); bb > 0 {
 		s.burst = &Channel{name: "burstbuffer", capacity: bb}
-		s.channels = append(s.channels, s.burst)
-	}
-	for _, node := range alloc.Nodes {
-		ch := &Channel{name: fmt.Sprintf("nvme:%d", node.ID), capacity: p.NVMeBandwidth}
-		s.nvme[node.ID] = ch
-		s.channels = append(s.channels, ch)
 	}
 	return s
 }
@@ -128,8 +153,27 @@ func (s *System) SharedChannel() *Channel { return s.shared }
 // BurstChannel returns the burst-buffer channel, nil when disabled.
 func (s *System) BurstChannel() *Channel { return s.burst }
 
-// NodeChannel returns node id's NVMe channel, nil for unknown nodes.
-func (s *System) NodeChannel(id int) *Channel { return s.nvme[id] }
+// NodeChannel returns node id's NVMe channel, nil for nodes outside the
+// allocation.
+func (s *System) NodeChannel(id int) *Channel {
+	i := id - s.lo
+	if i < 0 || i >= len(s.nvme) {
+		return nil
+	}
+	ch := s.nvme[i]
+	if ch == nil {
+		ch = &Channel{name: nvmeName(id), capacity: s.params.NVMeBandwidth}
+		s.nvme[i] = ch
+	}
+	return ch
+}
+
+// inAlloc reports whether the node belongs to the allocation (has local
+// storage the registry can record replicas on).
+func (s *System) inAlloc(node int) bool {
+	i := node - s.lo
+	return i >= 0 && i < len(s.nvme)
+}
 
 // BytesMoved returns the total bytes transferred so far.
 func (s *System) BytesMoved() int64 { return s.bytesMoved }
@@ -188,13 +232,6 @@ func (s *System) effectiveTier(t spec.StageTier) spec.StageTier {
 	return t
 }
 
-// pendingXfer is one in-flight coalescable transfer: its UID (the causal
-// reference joiners record) and the waiters riding it.
-type pendingXfer struct {
-	uid     string
-	waiters []func()
-}
-
 // nextUID numbers a transfer at API-call time, formatting "xfer.%06d"
 // without fmt.
 func (s *System) nextUID() string {
@@ -213,11 +250,14 @@ func (s *System) nextUID() string {
 
 // nvmeName names node's NVMe channel, also for nodes outside the
 // allocation (which have no channel).
-func (s *System) nvmeName(node int) string {
-	if ch := s.nvme[node]; ch != nil {
+func nvmeName(node int) string { return "nvme:" + strconv.Itoa(node) }
+
+// linkName names the channel, or node's NVMe when ch is nil.
+func linkName(ch *Channel, node int) string {
+	if ch != nil {
 		return ch.name
 	}
-	return fmt.Sprintf("nvme:%d", node)
+	return nvmeName(node)
 }
 
 // JoinPending registers fn to fire when an already in-flight stage-in of
@@ -225,31 +265,25 @@ func (s *System) nvmeName(node int) string {
 // whether such a transfer exists. Joining moves no bytes — callers count it
 // as a locality hit.
 func (s *System) JoinPending(dataset string, node int, fn func()) (string, bool) {
-	byNode, ok := s.pendingNode[dataset]
+	f, ok := s.pendingNode[nodeKey{dataset, node}]
 	if !ok {
 		return "", false
 	}
-	p, ok := byNode[node]
-	if !ok {
-		return "", false
-	}
-	p.waiters = append(p.waiters, fn)
+	f.waiters = append(f.waiters, fn)
 	s.cCoalesced.Inc()
-	return p.uid, true
+	return f.tt.uid, true
 }
 
 // PendingNodes returns the nodes a stage-in of the dataset is currently
 // in flight to, sorted ascending.
 func (s *System) PendingNodes(dataset string) []int {
-	byNode, ok := s.pendingNode[dataset]
-	if !ok {
-		return nil
+	var out []int
+	for k := range s.pendingNode {
+		if k.dataset == dataset {
+			out = append(out, k.node)
+		}
 	}
-	out := make([]int, 0, len(byNode))
-	for n := range byNode {
-		out = append(out, n)
-	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -257,39 +291,27 @@ func (s *System) PendingNodes(dataset string) []int {
 // storage: the flow traverses the source tier's channel and the node's
 // NVMe channel, bottlenecked by the more contended of the two. On
 // completion the registry records a node-local replica and any coalesced
-// waiters fire. Callers should check JoinPending first; a duplicate
-// StageToNode while one is in flight would move redundant bytes. It returns
-// the transfer's UID for causal references.
+// waiters fire. Callers must check JoinPending first: a second stage-in of
+// the dataset to the node while one is in flight is a caller bug and
+// panics. It returns the transfer's UID for causal references.
 func (s *System) StageToNode(task, dataset string, bytes int64, src spec.StageTier, node int, done func()) string {
+	key := nodeKey{dataset, node}
+	if p, ok := s.pendingNode[key]; ok {
+		panic(fmt.Sprintf("data: stage-in of %s to node %d while %s is in flight (callers must JoinPending)",
+			dataset, node, p.tt.uid))
+	}
 	srcCh := s.tierChannel(src)
-	chans := []*Channel{srcCh}
-	if ch := s.nvme[node]; ch != nil {
-		chans = append(chans, ch)
-	}
-	uid := s.nextUID()
-	if s.pendingNode[dataset] == nil {
-		s.pendingNode[dataset] = make(map[int]*pendingXfer)
-	}
-	s.pendingNode[dataset][node] = &pendingXfer{uid: uid}
-	lat := s.tierLatency(src) + s.params.NVMeLatency
-	s.startTransfer(chans, lat, transferInfo{
-		uid: uid, dataset: dataset, task: task, bytes: bytes,
-		src: srcCh.name, dst: s.nvmeName(node), node: node,
-	}, func() {
-		if s.nvme[node] != nil {
-			s.reg.RegisterNode(dataset, bytes, node)
-		}
-		p := s.pendingNode[dataset][node]
-		delete(s.pendingNode[dataset], node)
-		if len(s.pendingNode[dataset]) == 0 {
-			delete(s.pendingNode, dataset)
-		}
-		done()
-		for _, fn := range p.waiters {
-			fn()
-		}
-	})
-	return uid
+	dst := s.NodeChannel(node)
+	f := &flow{kind: flowStage, done: done, tt: transferInfo{
+		uid: s.nextUID(), dataset: dataset, task: task, bytes: bytes,
+		src: srcCh.name, dst: linkName(dst, node), node: node,
+	}}
+	f.link(srcCh)
+	f.link(dst)
+	s.pendingNode[key] = f
+	s.reg.touch(dataset)
+	s.eng.AfterCall(sim.Seconds(s.tierLatency(src)+s.params.NVMeLatency), s.beginFn, f)
+	return f.tt.uid
 }
 
 // WriteFromNode writes a dataset produced on a node out to a tier. The
@@ -299,33 +321,22 @@ func (s *System) StageToNode(task, dataset string, bytes int64, src spec.StageTi
 // which is what lets a data-aware scheduler run the consumer where the
 // producer ran.
 func (s *System) WriteFromNode(task, dataset string, bytes int64, node int, dest spec.StageTier, done func()) string {
-	var chans []*Channel
-	nvmeName := s.nvmeName(node)
-	dstName := nvmeName
-	if ch := s.nvme[node]; ch != nil {
-		chans = append(chans, ch)
-	}
+	src := s.NodeChannel(node)
+	f := &flow{kind: flowWrite, dest: dest, done: done, tt: transferInfo{
+		uid: s.nextUID(), dataset: dataset, task: task, bytes: bytes,
+		src: linkName(src, node), node: node,
+	}}
+	f.tt.dst = f.tt.src
+	f.link(src)
 	lat := s.params.NVMeLatency
 	if dest != spec.TierNodeLocal {
 		dch := s.tierChannel(dest)
-		chans = append(chans, dch)
-		dstName = dch.name
+		f.link(dch)
+		f.tt.dst = dch.name
 		lat += s.tierLatency(dest)
 	}
-	uid := s.nextUID()
-	s.startTransfer(chans, lat, transferInfo{
-		uid: uid, dataset: dataset, task: task, bytes: bytes,
-		src: nvmeName, dst: dstName, node: node,
-	}, func() {
-		if s.nvme[node] != nil {
-			s.reg.RegisterNode(dataset, bytes, node)
-		}
-		if dest != spec.TierNodeLocal {
-			s.reg.RegisterTier(dataset, bytes, s.effectiveTier(dest))
-		}
-		done()
-	})
-	return uid
+	s.eng.AfterCall(sim.Seconds(lat), s.beginFn, f)
+	return f.tt.uid
 }
 
 // JoinPendingTier registers fn to fire when an already in-flight transfer
@@ -333,86 +344,70 @@ func (s *System) WriteFromNode(task, dataset string, bytes int64, node int, dest
 // whether such a transfer exists. Joining moves no bytes — callers count it
 // as a locality hit.
 func (s *System) JoinPendingTier(dataset string, tier spec.StageTier, fn func()) (string, bool) {
-	byTier, ok := s.pendingTier[dataset]
+	f, ok := s.pendingTier[tierKey{dataset, s.effectiveTier(tier)}]
 	if !ok {
 		return "", false
 	}
-	eff := s.effectiveTier(tier)
-	p, ok := byTier[eff]
-	if !ok {
-		return "", false
-	}
-	p.waiters = append(p.waiters, fn)
+	f.waiters = append(f.waiters, fn)
 	s.cCoalesced.Inc()
-	return p.uid, true
+	return f.tt.uid, true
 }
 
 // TierTransfer moves a dataset between two shared tiers (pre-placement
 // staging: parallel FS to burst buffer and back). The registry records the
-// dataset at the destination and coalesced waiters fire. Callers should
-// check JoinPendingTier first; a duplicate TierTransfer while one is in
-// flight would move redundant bytes. It returns the transfer's UID for
-// causal references.
+// dataset at the destination and coalesced waiters fire. Callers must check
+// JoinPendingTier first: a second transfer of the dataset to the tier
+// while one is in flight is a caller bug and panics. It returns the
+// transfer's UID for causal references.
 func (s *System) TierTransfer(task, dataset string, bytes int64, src, dest spec.StageTier, done func()) string {
+	key := tierKey{dataset, s.effectiveTier(dest)}
+	if p, ok := s.pendingTier[key]; ok {
+		panic(fmt.Sprintf("data: transfer of %s to tier %v while %s is in flight (callers must JoinPendingTier)",
+			dataset, key.tier, p.tt.uid))
+	}
 	srcCh, dstCh := s.tierChannel(src), s.tierChannel(dest)
-	chans := []*Channel{srcCh}
-	if dstCh != srcCh {
-		chans = append(chans, dstCh)
-	}
-	eff := s.effectiveTier(dest)
-	uid := s.nextUID()
-	if s.pendingTier[dataset] == nil {
-		s.pendingTier[dataset] = make(map[spec.StageTier]*pendingXfer)
-	}
-	s.pendingTier[dataset][eff] = &pendingXfer{uid: uid}
-	s.startTransfer(chans, s.tierLatency(src)+s.tierLatency(dest), transferInfo{
-		uid: uid, dataset: dataset, task: task, bytes: bytes,
+	f := &flow{kind: flowTier, dest: key.tier, done: done, tt: transferInfo{
+		uid: s.nextUID(), dataset: dataset, task: task, bytes: bytes,
 		src: srcCh.name, dst: dstCh.name, node: -1,
-	}, func() {
-		s.reg.RegisterTier(dataset, bytes, eff)
-		p := s.pendingTier[dataset][eff]
-		delete(s.pendingTier[dataset], eff)
-		if len(s.pendingTier[dataset]) == 0 {
-			delete(s.pendingTier, dataset)
-		}
-		done()
-		for _, fn := range p.waiters {
-			fn()
-		}
-	})
-	return uid
+	}}
+	f.link(srcCh)
+	if dstCh != srcCh {
+		f.link(dstCh)
+	}
+	s.pendingTier[key] = f
+	s.eng.AfterCall(sim.Seconds(s.tierLatency(src)+s.tierLatency(dest)), s.beginFn, f)
+	return f.tt.uid
 }
 
-// startTransfer applies setup latency, then joins the flow machinery.
-func (s *System) startTransfer(chans []*Channel, latency float64, tt transferInfo, done func()) {
-	s.eng.After(sim.Seconds(latency), func() {
-		now := s.eng.Now()
-		tt.start = now
-		f := &flow{
-			seq:       s.seq,
-			remaining: float64(tt.bytes),
-			chans:     chans,
-			tt:        tt,
-			done:      done,
+// begin runs once a transfer's setup latency has elapsed: the flow joins
+// the channels it traverses.
+func (s *System) begin(x any) {
+	f := x.(*flow)
+	now := s.eng.Now()
+	f.tt.start = now
+	if f.tt.bytes <= 0 {
+		s.finishTransfer(f, now)
+		return
+	}
+	s.advance()
+	f.remaining = float64(f.tt.bytes)
+	for _, ch := range f.links() {
+		if ch.nActive > 0 {
+			// Joining an already-busy link: every flow on it slows down.
+			s.cStalls.Inc()
+			f.tt.contended = ch.name
+			break
 		}
-		s.seq++
-		if tt.bytes <= 0 {
-			s.finishTransfer(f, now)
-			return
+	}
+	for _, ch := range f.links() {
+		if !ch.live {
+			ch.live = true
+			s.live = append(s.live, ch)
 		}
-		s.advance()
-		for _, ch := range chans {
-			if ch.nActive > 0 {
-				// Joining an already-busy link: every flow on it slows down.
-				s.cStalls.Inc()
-				f.tt.contended = ch.name
-				break
-			}
-		}
-		s.flows = append(s.flows, f)
-		s.recompute()
-		s.gFlows.Set(now, float64(len(s.flows)))
-	})
+	}
+	s.flows = append(s.flows, f)
+	s.recompute()
+	s.gFlows.Set(now, float64(len(s.flows)))
 }
 
 // finishTransfer records the trace and hands the completion to the engine.
@@ -433,17 +428,47 @@ func (s *System) finishTransfer(f *flow, at sim.Time) {
 		if f.tt.contended != "" && at > f.tt.start {
 			// The flow shared its bottleneck link from the moment it
 			// entered the channels.
-			tt.AddEdge(profiler.CausalEdge{
+			tt.Edges = []profiler.CausalEdge{{
 				Kind: profiler.EdgeContention,
 				From: f.tt.start,
 				To:   at,
 				Ref:  f.tt.contended,
-			})
+			}}
 		}
 		s.prof.Transfer(tt)
 	}
+	s.eng.ImmediatelyCall(s.completeFn, f)
+}
+
+// complete applies a finished transfer to the registry, retires its
+// coalescing record and fires its callbacks: the caller's first, then
+// every waiter that joined it.
+func (s *System) complete(x any) {
+	f := x.(*flow)
+	ds := f.tt.dataset
+	switch f.kind {
+	case flowStage:
+		if s.inAlloc(f.tt.node) {
+			s.reg.RegisterNode(ds, f.tt.bytes, f.tt.node)
+		}
+		delete(s.pendingNode, nodeKey{ds, f.tt.node})
+		s.reg.touch(ds)
+	case flowWrite:
+		if s.inAlloc(f.tt.node) {
+			s.reg.RegisterNode(ds, f.tt.bytes, f.tt.node)
+		}
+		if f.dest != spec.TierNodeLocal {
+			s.reg.RegisterTier(ds, f.tt.bytes, s.effectiveTier(f.dest))
+		}
+	case flowTier:
+		s.reg.RegisterTier(ds, f.tt.bytes, f.dest)
+		delete(s.pendingTier, tierKey{ds, f.dest})
+	}
 	if f.done != nil {
-		s.eng.Immediately(f.done)
+		f.done()
+	}
+	for _, fn := range f.waiters {
+		fn()
 	}
 }
 
@@ -453,28 +478,49 @@ func (s *System) InFlight() int { return len(s.flows) }
 // Registry tracks which nodes and tiers hold which datasets.
 type Registry struct {
 	entries map[string]*regEntry
+	// byNode indexes node-local replicas by node, so evicting a failed
+	// node touches only that node's replicas.
+	byNode map[int][]*regEntry
 }
 
 type regEntry struct {
 	bytes  int64
-	nodes  map[int]bool
+	nodes  []int // ascending node IDs holding a replica
 	shared bool
 	burst  bool
+	// version is the dataset's locality version: it grows whenever the
+	// replica set or the in-flight stage-ins change.
+	version uint64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{entries: make(map[string]*regEntry)}
+	return &Registry{entries: make(map[string]*regEntry), byNode: make(map[int][]*regEntry)}
 }
 
 func (r *Registry) entry(dataset string) *regEntry {
 	e, ok := r.entries[dataset]
 	if !ok {
-		e = &regEntry{nodes: make(map[int]bool)}
+		e = &regEntry{}
 		r.entries[dataset] = e
 	}
 	return e
 }
+
+// Version returns the dataset's locality version. It only grows, and it
+// changes whenever NodesHolding or System.PendingNodes of the dataset
+// would, so a preference computed from them stays valid while the
+// versions of its datasets are unchanged.
+func (r *Registry) Version(dataset string) uint64 {
+	if e, ok := r.entries[dataset]; ok {
+		return e.version
+	}
+	return 0
+}
+
+// touch bumps the dataset's locality version (its in-flight stage-ins
+// changed).
+func (r *Registry) touch(dataset string) { r.entry(dataset).version++ }
 
 // RegisterNode records a node-local replica of the dataset.
 func (r *Registry) RegisterNode(dataset string, bytes int64, node int) {
@@ -482,7 +528,13 @@ func (r *Registry) RegisterNode(dataset string, bytes int64, node int) {
 	if bytes > e.bytes {
 		e.bytes = bytes
 	}
-	e.nodes[node] = true
+	i, found := slices.BinarySearch(e.nodes, node)
+	if found {
+		return
+	}
+	e.nodes = slices.Insert(e.nodes, i, node)
+	r.byNode[node] = append(r.byNode[node], e)
+	e.version++
 }
 
 // RegisterTier records the dataset's presence at a shared tier.
@@ -501,30 +553,49 @@ func (r *Registry) RegisterTier(dataset string, bytes int64, tier spec.StageTier
 
 // Evict drops a node-local replica (node draining, cache pressure models).
 func (r *Registry) Evict(dataset string, node int) {
-	if e, ok := r.entries[dataset]; ok {
-		delete(e.nodes, node)
+	e, ok := r.entries[dataset]
+	if !ok || !e.drop(node) {
+		return
 	}
+	es := r.byNode[node]
+	i := slices.Index(es, e)
+	es[i] = es[len(es)-1]
+	es[len(es)-1] = nil
+	r.byNode[node] = es[:len(es)-1]
+}
+
+// drop removes node from the entry's replica set, reporting whether it
+// held one.
+func (e *regEntry) drop(node int) bool {
+	i, found := slices.BinarySearch(e.nodes, node)
+	if !found {
+		return false
+	}
+	e.nodes = slices.Delete(e.nodes, i, i+1)
+	e.version++
+	return true
 }
 
 // EvictNode drops every replica the node holds (the node failed; its local
-// storage went with it). Returns the number of replicas dropped. Map
-// iteration order is irrelevant: only deletions happen, so the resulting
-// state is deterministic.
+// storage went with it). Returns the number of replicas dropped.
 func (r *Registry) EvictNode(node int) int {
-	n := 0
-	for _, e := range r.entries {
-		if e.nodes[node] {
-			delete(e.nodes, node)
-			n++
-		}
+	es := r.byNode[node]
+	for i, e := range es {
+		e.drop(node)
+		es[i] = nil
 	}
-	return n
+	r.byNode[node] = es[:0]
+	return len(es)
 }
 
 // HasNode reports whether the node holds a replica of the dataset.
 func (r *Registry) HasNode(dataset string, node int) bool {
 	e, ok := r.entries[dataset]
-	return ok && e.nodes[node]
+	if !ok {
+		return false
+	}
+	_, found := slices.BinarySearch(e.nodes, node)
+	return found
 }
 
 // HasTier reports whether the dataset is present at a shared tier.
@@ -550,12 +621,7 @@ func (r *Registry) NodesHolding(dataset string) []int {
 	if !ok {
 		return nil
 	}
-	out := make([]int, 0, len(e.nodes))
-	for n := range e.nodes {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
+	return slices.Clone(e.nodes)
 }
 
 // Bytes returns the registered size of the dataset.
@@ -569,8 +635,8 @@ func (r *Registry) Bytes(dataset string) int64 {
 // Replicas returns the total node-replica count across all datasets.
 func (r *Registry) Replicas() int {
 	n := 0
-	for _, e := range r.entries {
-		n += len(e.nodes)
+	for _, es := range r.byNode {
+		n += len(es)
 	}
 	return n
 }

@@ -1,8 +1,12 @@
 package data
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"rpgo/internal/model"
@@ -186,3 +190,117 @@ func TestTransferDeterminism(t *testing.T) {
 }
 
 func nameOf(i int) string { return string(rune('a' + i)) }
+
+// TestDuplicateStageInPanics: a second stage-in of a dataset to a node
+// while the first is in flight is a caller bug (callers must JoinPending).
+// It panics at the call, naming the dataset, the node and the in-flight
+// transfer, and the first transfer still completes normally.
+func TestDuplicateStageInPanics(t *testing.T) {
+	eng, sys, prof := newSystem(t, 1, zeroLatencyParams())
+	fired := 0
+	uid := sys.StageToNode("a", "ckpt.x", 10e9, spec.TierSharedFS, 0, func() { fired++ })
+	var msg string
+	eng.At(sim.Time(100*sim.Millisecond), func() {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		sys.StageToNode("b", "ckpt.x", 10e9, spec.TierSharedFS, 0, func() { fired++ })
+	})
+	eng.Run()
+	for _, want := range []string{"ckpt.x", "node 0", uid} {
+		if !strings.Contains(msg, want) {
+			t.Fatalf("duplicate stage-in panic %q does not name %q", msg, want)
+		}
+	}
+	if fired != 1 || len(prof.Transfers()) != 1 || !sys.Registry().HasNode("ckpt.x", 0) {
+		t.Fatalf("first stage-in did not complete cleanly: fired %d, %d traces", fired, len(prof.Transfers()))
+	}
+	if len(sys.PendingNodes("ckpt.x")) != 0 {
+		t.Fatal("completed stage-in left a pending record")
+	}
+}
+
+// TestDuplicateTierTransferPanics is the tier-to-tier counterpart.
+func TestDuplicateTierTransferPanics(t *testing.T) {
+	p := zeroLatencyParams()
+	p.BurstBufferPerNode = 4e9
+	eng, sys, _ := newSystem(t, 1, p)
+	uid := sys.TierTransfer("a", "w", 8e9, spec.TierSharedFS, spec.TierBurstBuffer, func() {})
+	var msg string
+	func() {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		sys.TierTransfer("b", "w", 8e9, spec.TierSharedFS, spec.TierBurstBuffer, func() {})
+	}()
+	eng.Run()
+	if !strings.Contains(msg, "w") || !strings.Contains(msg, uid) {
+		t.Fatalf("duplicate tier transfer panic %q does not name the dataset and %s", msg, uid)
+	}
+}
+
+// TestRegistryIndexMatchesScan drives the registry with random
+// registrations and evictions and checks it against a brute-force model:
+// EvictNode drops exactly the replicas a scan of every dataset finds,
+// every query agrees, and a dataset's locality version grows exactly when
+// its replica set changes.
+func TestRegistryIndexMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	r := NewRegistry()
+	model := map[string]map[int]bool{}
+	names := []string{"a", "b", "c", "d", "e"}
+	holding := func(ds string) []int {
+		var out []int
+		for n := range model[ds] {
+			out = append(out, n)
+		}
+		slices.Sort(out)
+		return out
+	}
+	for step := 0; step < 5000; step++ {
+		ds, node := names[rng.Intn(len(names))], rng.Intn(8)
+		before := map[string]uint64{}
+		prev := map[string][]int{}
+		for _, n := range names {
+			before[n], prev[n] = r.Version(n), holding(n)
+		}
+		switch rng.Intn(4) {
+		case 0, 1:
+			r.RegisterNode(ds, 1, node)
+			if model[ds] == nil {
+				model[ds] = map[int]bool{}
+			}
+			model[ds][node] = true
+		case 2:
+			r.Evict(ds, node)
+			delete(model[ds], node)
+		case 3:
+			want := 0
+			for _, nodes := range model {
+				if nodes[node] {
+					delete(nodes, node)
+					want++
+				}
+			}
+			if got := r.EvictNode(node); got != want {
+				t.Fatalf("step %d: EvictNode(%d) dropped %d replicas, a scan finds %d", step, node, got, want)
+			}
+		}
+		total := 0
+		for _, n := range names {
+			want := holding(n)
+			total += len(want)
+			if got := r.NodesHolding(n); !slices.Equal(got, want) {
+				t.Fatalf("step %d: NodesHolding(%s) = %v, want %v", step, n, got, want)
+			}
+			for id := 0; id < 8; id++ {
+				if r.HasNode(n, id) != model[n][id] {
+					t.Fatalf("step %d: HasNode(%s, %d) = %v", step, n, id, !model[n][id])
+				}
+			}
+			changed := !slices.Equal(want, prev[n])
+			if v := r.Version(n); v < before[n] || changed != (v != before[n]) {
+				t.Fatalf("step %d: %s version %d -> %d with replicas %v -> %v", step, n, before[n], v, prev[n], want)
+			}
+		}
+		if r.Replicas() != total {
+			t.Fatalf("step %d: Replicas = %d, want %d", step, r.Replicas(), total)
+		}
+	}
+}

@@ -25,6 +25,8 @@ type FailureSweepConfig struct {
 	Nodes int
 	// MTBFs is the per-node mean-time-between-failures grid (seconds).
 	MTBFs []float64
+	// Policies is the placement axis (default: pack and data-aware).
+	Policies []spec.PlacementPolicy
 	// NodeDowntime is how long a failed node stays down (seconds); <= 0
 	// makes failures permanent (the pilot only shrinks).
 	NodeDowntime float64
@@ -61,6 +63,9 @@ func (c *FailureSweepConfig) defaults() {
 	}
 	if len(c.MTBFs) == 0 {
 		c.MTBFs = []float64{300, 1200, 7200}
+	}
+	if len(c.Policies) == 0 {
+		c.Policies = []spec.PlacementPolicy{spec.PlacePack, spec.PlaceDataAware}
 	}
 	if c.NodeDowntime == 0 {
 		c.NodeDowntime = 60
@@ -112,12 +117,12 @@ type FailureSweepResult struct {
 	Cells  []FailureCell
 }
 
-// RunFailureSweep runs the makespan-vs-MTBF grid for pack and data-aware
-// placement. Cells run in parallel (each is its own seeded session) and
+// RunFailureSweep runs the makespan-vs-MTBF grid for each placement
+// policy. Cells run in parallel (each is its own seeded session) and
 // results are slot-ordered, so the output is deterministic.
 func RunFailureSweep(cfg FailureSweepConfig) FailureSweepResult {
 	cfg.defaults()
-	policies := []spec.PlacementPolicy{spec.PlacePack, spec.PlaceDataAware}
+	policies := cfg.Policies
 	res := FailureSweepResult{Config: cfg}
 	res.Cells = make([]FailureCell, len(cfg.MTBFs)*len(policies))
 	RunCells(len(res.Cells), func(i int) {
