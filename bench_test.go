@@ -396,12 +396,11 @@ func BenchmarkFailureSweepCell(b *testing.B) {
 	var cell experiments.FailureCell
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cell = experiments.RunFailureSweep(experiments.FailureSweepConfig{
-			Nodes: 16, MTBFs: []float64{120}, Policies: []spec.PlacementPolicy{spec.PlaceDataAware},
-			NodeDowntime: 60, Horizon: 1200,
+		cell = experiments.RunFailureCell(experiments.FailureSweepConfig{
+			Nodes: 16, NodeDowntime: 60, Horizon: 1200,
 			Shards: 16, TasksPerShard: 16, ShardBytes: 1 << 28, TaskSeconds: 120,
 			CheckpointSeconds: 10, CheckpointBytes: 1 << 27, MaxRetries: 5, Seed: 8009,
-		}).Cells[0]
+		}, 120, spec.PlaceDataAware)
 	}
 	b.ReportMetric(cell.Makespan.Seconds(), "makespan_s")
 	b.ReportMetric(float64(cell.Retries), "retries")

@@ -93,7 +93,6 @@ type stageRec struct {
 	placed []int
 	pref   []int
 	key    uint64
-	cached bool
 }
 
 func (s *stageRec) onPlaced(_ sim.Time, nodeIDs []int) { s.placed = nodeIDs }
@@ -101,7 +100,8 @@ func (s *stageRec) onPlaced(_ sim.Time, nodeIDs []int) { s.placed = nodeIDs }
 // prefer returns preferNodes for the task, rebuilding it only when the
 // locality of one of its node-local inputs changed. The key is
 // Σ(version+1) over those inputs: versions only grow, so any change moves
-// the key. Backends call it on every scheduling pump for every hinted
+// the key, and only a task with no node-local input (whose preference is
+// nil) has key 0. Backends call it on every scheduling pump for every hinted
 // request in the affinity window, far more often than placements happen.
 func (s *stageRec) prefer() []int {
 	a := s.a
@@ -115,8 +115,8 @@ func (s *stageRec) prefer() []int {
 			key += reg.Version(d.Dataset) + 1
 		}
 	}
-	if !s.cached || key != s.key {
-		s.pref, s.key, s.cached = a.preferNodes(s.td), key, true
+	if key != s.key {
+		s.pref, s.key = a.preferNodes(s.td), key
 	}
 	return s.pref
 }

@@ -321,12 +321,12 @@ func TestPreferenceCacheMatchesFresh(t *testing.T) {
 	hits, rebuilds := 0, 0
 	check := func() {
 		for _, sr := range recs {
-			key, cached := sr.key, sr.cached
+			key := sr.key
 			got := sr.prefer()
 			if want := r.agent.preferNodes(sr.td); !slices.Equal(got, want) {
 				t.Fatalf("at %v: cached preference %v, fresh %v", r.eng.Now(), got, want)
 			}
-			if cached && sr.key == key {
+			if sr.key == key {
 				hits++
 			} else {
 				rebuilds++

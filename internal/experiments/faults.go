@@ -25,8 +25,6 @@ type FailureSweepConfig struct {
 	Nodes int
 	// MTBFs is the per-node mean-time-between-failures grid (seconds).
 	MTBFs []float64
-	// Policies is the placement axis (default: pack and data-aware).
-	Policies []spec.PlacementPolicy
 	// NodeDowntime is how long a failed node stays down (seconds); <= 0
 	// makes failures permanent (the pilot only shrinks).
 	NodeDowntime float64
@@ -63,9 +61,6 @@ func (c *FailureSweepConfig) defaults() {
 	}
 	if len(c.MTBFs) == 0 {
 		c.MTBFs = []float64{300, 1200, 7200}
-	}
-	if len(c.Policies) == 0 {
-		c.Policies = []spec.PlacementPolicy{spec.PlacePack, spec.PlaceDataAware}
 	}
 	if c.NodeDowntime == 0 {
 		c.NodeDowntime = 60
@@ -117,27 +112,28 @@ type FailureSweepResult struct {
 	Cells  []FailureCell
 }
 
-// RunFailureSweep runs the makespan-vs-MTBF grid for each placement
-// policy. Cells run in parallel (each is its own seeded session) and
+// RunFailureSweep runs the makespan-vs-MTBF grid for pack and data-aware
+// placement. Cells run in parallel (each is its own seeded session) and
 // results are slot-ordered, so the output is deterministic.
 func RunFailureSweep(cfg FailureSweepConfig) FailureSweepResult {
 	cfg.defaults()
-	policies := cfg.Policies
+	policies := []spec.PlacementPolicy{spec.PlacePack, spec.PlaceDataAware}
 	res := FailureSweepResult{Config: cfg}
 	res.Cells = make([]FailureCell, len(cfg.MTBFs)*len(policies))
 	RunCells(len(res.Cells), func(i int) {
 		mtbf := cfg.MTBFs[i/len(policies)]
 		pol := policies[i%len(policies)]
-		res.Cells[i] = runFailureCell(cfg, mtbf, pol)
+		res.Cells[i] = RunFailureCell(cfg, mtbf, pol)
 	})
 	return res
 }
 
-// runFailureCell runs one seeded session under the cell's failure rate.
-// The seed is shared across the whole grid: every cell faces the same
-// workload and, per MTBF, the same failure schedule — the policy axis
-// isolates placement.
-func runFailureCell(cfg FailureSweepConfig, mtbf float64, pol spec.PlacementPolicy) FailureCell {
+// RunFailureCell runs one cell of the sweep: a seeded session under the
+// cell's failure rate (cfg.MTBFs is ignored). The seed is shared across
+// the whole grid: every cell faces the same workload and, per MTBF, the
+// same failure schedule — the policy axis isolates placement.
+func RunFailureCell(cfg FailureSweepConfig, mtbf float64, pol spec.PlacementPolicy) FailureCell {
+	cfg.defaults()
 	sess, pilot := runFailureSession(cfg, mtbf, pol)
 	cell := FailureCell{MTBF: mtbf, Policy: pol}
 	traces := sess.Profiler.Tasks()
