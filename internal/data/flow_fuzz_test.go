@@ -338,17 +338,16 @@ func (fr *flowRun) cb(op int) func() { return func() { fr.note("done op %d", op)
 // flowAPI is the surface the replay drives, implemented by System and
 // refSystem.
 type flowAPI struct {
-	stage       func(task, ds string, bytes int64, src spec.StageTier, node int, done func()) string
-	write       func(task, ds string, bytes int64, node int, dest spec.StageTier, done func()) string
-	tier        func(task, ds string, bytes int64, src, dest spec.StageTier, done func()) string
-	join        func(ds string, node int, fn func()) (string, bool)
-	joinTier    func(ds string, tier spec.StageTier, fn func()) (string, bool)
-	evictNode   func(node int) int
-	evict       func(ds string, node int)
-	holding     func(ds string) []int
-	pendingTo   func(ds string) []int
-	versionOf   func(ds string) uint64 // nil on the reference
-	channelByID func(node int) *Channel
+	stage     func(task, ds string, bytes int64, src spec.StageTier, node int, done func()) string
+	write     func(task, ds string, bytes int64, node int, dest spec.StageTier, done func()) string
+	tier      func(task, ds string, bytes int64, src, dest spec.StageTier, done func()) string
+	join      func(ds string, node int, fn func()) (string, bool)
+	joinTier  func(ds string, tier spec.StageTier, fn func()) (string, bool)
+	evictNode func(node int) int
+	evict     func(ds string, node int)
+	holding   func(ds string) []int
+	pendingTo func(ds string) []int
+	versionOf func(ds string) uint64 // nil on the reference
 }
 
 var fuzzDatasets = []string{"w", "x", "y", "z"}
@@ -429,9 +428,9 @@ type localityState struct {
 	version          uint64
 }
 
-// checkVersions steps the system through ops one engine event at a time
-// and fails if a dataset's replica or pending-node set changed while its
-// locality version did not, or if a version ever decreased.
+// checkVersions fails if a dataset's replica or pending-node set changed
+// since the previous check while its locality version did not, or if a
+// version ever decreased.
 func checkVersions(t *testing.T, api flowAPI, eng *sim.Engine, prev map[string]localityState) {
 	t.Helper()
 	for _, ds := range fuzzDatasets {
@@ -455,7 +454,6 @@ func systemAPI(s *System) flowAPI {
 		join: s.JoinPending, joinTier: s.JoinPendingTier,
 		evictNode: s.reg.EvictNode, evict: s.reg.Evict,
 		holding: s.reg.NodesHolding, pendingTo: s.PendingNodes, versionOf: s.reg.Version,
-		channelByID: s.NodeChannel,
 	}
 }
 
@@ -492,7 +490,6 @@ func refAPI(r *refSystem) flowAPI {
 			slices.Sort(out)
 			return out
 		},
-		channelByID: func(node int) *Channel { return r.nvme[node] },
 	}
 }
 
@@ -511,7 +508,8 @@ func diffFlowEngines(t *testing.T, data []byte) {
 	got := &flowRun{eng: sim.NewEngine(), prof: profiler.New()}
 	sys := NewSystem(got.eng, alloc(), params, got.prof, nil)
 	api := systemAPI(sys)
-	// Step the change's engine through versions after every event.
+	// Check System's locality versions after every API call that can move
+	// them and after every completion callback.
 	versions := map[string]localityState{}
 	checked := api
 	wrap := func(f func()) func() {
