@@ -219,9 +219,9 @@ func BenchmarkFig8ImpeccableFlux65536Baseline(b *testing.B) {
 }
 
 func benchShardedImpeccable(b *testing.B, shards int) {
-	var res experiments.ShardedImpeccableResult
+	var res experiments.ImpeccableResult
 	for i := 0; i < b.N; i++ {
-		res = experiments.RunShardedImpeccable(experiments.ShardedImpeccableConfig{
+		res = experiments.RunImpeccable(experiments.ImpeccableConfig{
 			Nodes: 65536, Pilots: 16, Shards: shards,
 			Backend: spec.BackendFlux, Seed: uint64(i + 1),
 		})

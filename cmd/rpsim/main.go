@@ -1,5 +1,5 @@
-// Command rpsim runs a single throughput experiment cell — or a sharded
-// multi-pilot IMPECCABLE campaign — and prints its metrics. It is the
+// Command rpsim runs one of the paper's Table 1 experiments — a throughput
+// cell or an IMPECCABLE campaign — and prints its metrics. It is the
 // quickest way to explore the runtime models, and with -serve it is the
 // monitoring front door for a live run.
 //
@@ -8,22 +8,25 @@
 //	rpsim -exp flux_1 -nodes 64 [-instances 4] [-workload null|dummy|mixed]
 //	      [-duration 180] [-tasks N] [-reps 3] [-seed S]
 //
-//	rpsim -exp impeccable -nodes 256 [-pilots 4] [-shards 4] [-iters N]
+//	rpsim -exp impeccable_flux -nodes 256 [-pilots 4] [-shards 4] [-iters N]
 //	      [-seed S] [-serve :9464] [-trace run.jsonl]
 //
-// Experiments: srun, flux_1, flux_n, dragon, flux_dragon, impeccable.
+// Experiments: srun, flux_1, flux_n, dragon, flux_dragon, impeccable_srun,
+// impeccable_flux.
 //
-// The impeccable experiment runs the paper's Fig 8 campaign on a sharded
-// session (-pilots pilots sharing -nodes nodes, -shards engine workers) and
-// prints the per-shard window-telemetry table. -serve exposes /metrics
+// The impeccable experiments run the paper's Fig 8 campaign with the srun
+// or the Flux backend on a sharded session (-pilots pilots sharing -nodes
+// nodes, -shards engine workers) and print the per-shard window-telemetry
+// table; rpbench -only fig8 plots the Fig 8 series. -serve exposes /metrics
 // (Prometheus text exposition), /healthz and /progress over HTTP while the
 // campaign runs, and keeps serving after it completes — poll /progress for
 // "percent":100, scrape /metrics, then interrupt the process. -trace spills
 // every completed trace plus one shard record per engine worker as JSON
-// lines for cmd/rptrace.
+// lines; rptrace stats, top and blame break the run down per task.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -36,27 +39,35 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "flux_1", "experiment: srun, flux_1, flux_n, dragon, flux_dragon, impeccable")
-	nodes := flag.Int("nodes", 4, "pilot size in nodes (impeccable: total over all pilots)")
+	exp := flag.String("exp", "flux_1", "experiment: srun, flux_1, flux_n, dragon, flux_dragon, impeccable_srun, impeccable_flux")
+	nodes := flag.Int("nodes", 4, "pilot size in nodes (impeccable_*: total over all pilots)")
 	instances := flag.Int("instances", 1, "backend instances (flux_n, flux_dragon)")
 	wl := flag.String("workload", "null", "workload: null, dummy, mixed")
 	duration := flag.Float64("duration", 180, "dummy task duration [s]")
 	tasks := flag.Int("tasks", 0, "task count override (0: nodes*56*4)")
 	reps := flag.Int("reps", 3, "repetitions")
 	seed := flag.Uint64("seed", 1, "RNG seed")
-	pilots := flag.Int("pilots", 1, "pilot count (impeccable)")
-	shards := flag.Int("shards", experiments.DefaultShards(), "sharded-engine worker count (impeccable)")
-	iters := flag.Int("iters", 0, "cap campaign pipeline iterations, 0 = full (impeccable)")
-	serve := flag.String("serve", "", "serve /metrics, /healthz and /progress on this address (impeccable)")
-	traceOut := flag.String("trace", "", "write a JSONL trace spill, shard records included (impeccable)")
+	pilots := flag.Int("pilots", 1, "pilot count (impeccable_*)")
+	shards := flag.Int("shards", experiments.DefaultShards(), "sharded-engine worker count (impeccable_*)")
+	iters := flag.Int("iters", 0, "cap campaign pipeline iterations, 0 = full (impeccable_*)")
+	serve := flag.String("serve", "", "serve /metrics, /healthz and /progress on this address (impeccable_*)")
+	traceOut := flag.String("trace", "", "write a JSONL trace spill, shard records included (impeccable_*)")
 	flag.Parse()
 
-	if *exp == "impeccable" {
-		runImpeccable(*nodes, *pilots, *shards, *iters, *seed, *serve, *traceOut)
+	if err := checkSizes(*nodes, *pilots, *reps); err != nil {
+		fmt.Fprintf(os.Stderr, "rpsim: %v\n", err)
+		os.Exit(2)
+	}
+	switch *exp {
+	case "impeccable_srun":
+		runImpeccable(spec.BackendSrun, *nodes, *pilots, *shards, *iters, *seed, *serve, *traceOut)
+		return
+	case "impeccable_flux":
+		runImpeccable(spec.BackendFlux, *nodes, *pilots, *shards, *iters, *seed, *serve, *traceOut)
 		return
 	}
 	if *serve != "" || *traceOut != "" {
-		fmt.Fprintln(os.Stderr, "rpsim: -serve and -trace require -exp impeccable")
+		fmt.Fprintln(os.Stderr, "rpsim: -serve and -trace require -exp impeccable_srun or impeccable_flux")
 		os.Exit(2)
 	}
 
@@ -113,8 +124,23 @@ func main() {
 	}
 }
 
-// runImpeccable executes one sharded Fig 8 campaign with live monitoring.
-func runImpeccable(nodes, pilots, shards, iters int, seed uint64, serve, traceOut string) {
+// checkSizes rejects run sizes no experiment can run.
+func checkSizes(nodes, pilots, reps int) error {
+	switch {
+	case nodes < 1:
+		return errors.New("-nodes must be at least 1")
+	case pilots < 1:
+		return errors.New("-pilots must be at least 1")
+	case nodes < pilots:
+		return fmt.Errorf("-nodes %d cannot be split over -pilots %d", nodes, pilots)
+	case reps < 1:
+		return errors.New("-reps must be at least 1")
+	}
+	return nil
+}
+
+// runImpeccable executes one Fig 8 campaign with live monitoring.
+func runImpeccable(backend spec.Backend, nodes, pilots, shards, iters int, seed uint64, serve, traceOut string) {
 	var mon *obs.Monitor
 	if serve != "" {
 		mon = obs.NewMonitor(0)
@@ -145,11 +171,11 @@ func runImpeccable(nodes, pilots, shards, iters int, seed uint64, serve, traceOu
 	// Self-profiling is always on here: the hooks cost nanoseconds and the
 	// selfprof.* phase timers surface on /metrics and in the snapshot.
 	prof := obs.NewSelfProfiler()
-	res := experiments.RunShardedImpeccable(experiments.ShardedImpeccableConfig{
+	res := experiments.RunImpeccable(experiments.ImpeccableConfig{
 		Nodes:    nodes,
 		Pilots:   pilots,
 		Shards:   shards,
-		Backend:  spec.BackendFlux,
+		Backend:  backend,
 		Seed:     seed,
 		MaxIters: iters,
 		Sink:     sink,
@@ -157,9 +183,11 @@ func runImpeccable(nodes, pilots, shards, iters int, seed uint64, serve, traceOu
 		Monitor:  mon,
 	})
 
-	fmt.Printf("impeccable campaign: %d nodes, %d pilots, seed %d\n", nodes, pilots, seed)
-	fmt.Printf("  tasks: %d done, %d failed   makespan: %.1fs   cpu: %.1f%%   peak conc: %.0f\n",
-		res.Tasks, res.Failed, res.Makespan.Seconds(), res.CPUUtil*100, res.PeakConcurrency)
+	fmt.Printf("impeccable campaign: %s backend, %d nodes, %d pilots, seed %d\n", backend, nodes, pilots, seed)
+	fmt.Printf("  tasks: %d done, %d failed   makespan: %.1fs   cpu: %.1f%%   gpu: %.1f%%\n",
+		res.Tasks, res.Failed, res.Makespan.Seconds(), res.CPUUtil*100, res.GPUUtil*100)
+	fmt.Printf("  peak conc: %.0f   mean start rate: %.2f tasks/s over 30s windows\n",
+		res.PeakConcurrency, res.MeanStartRate)
 	fmt.Printf("  engine: %d shards, %d windows, %d cross events, %.2f lookahead efficiency\n",
 		res.Shards, res.Windows, res.CrossEvents, res.LookaheadEff)
 	fmt.Print(obs.RenderShardTable(res.ShardStats))

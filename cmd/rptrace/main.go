@@ -275,7 +275,7 @@ func cmdShards(args []string) error {
 		return fmt.Errorf("empty spill: no records (wrong file, or a run that never flushed its sink?)")
 	}
 	if len(recs) == 0 {
-		return fmt.Errorf("spill has %d records but no shard records — run on a sharded session (rpsim -exp impeccable -trace)", records)
+		return fmt.Errorf("spill has %d records but no shard records — run on a sharded session (rpsim -exp impeccable_flux -trace)", records)
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Shard < recs[j].Shard })
 	fmt.Print(obs.RenderShardTable(recs))

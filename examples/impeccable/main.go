@@ -5,8 +5,9 @@
 //
 // Run with: go run ./examples/impeccable
 // (Scaled to 64 nodes and 12 iterations per pipeline so it finishes in a
-// couple of seconds; cmd/impeccable runs the paper's full 256/1024-node
-// configurations.)
+// couple of seconds; `rpsim -exp impeccable_srun|impeccable_flux` runs the
+// paper's full 256/1024-node configurations, and `rpbench -only fig8`
+// plots them.)
 package main
 
 import (

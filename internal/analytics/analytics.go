@@ -12,7 +12,6 @@ package analytics
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -223,60 +222,4 @@ func WriteCSV(w io.Writer, tasks []*profiler.TaskTrace) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// jsonTrace is the JSONL export schema.
-type jsonTrace struct {
-	UID     string  `json:"uid"`
-	Backend string  `json:"backend,omitempty"`
-	Cores   int     `json:"cores"`
-	GPUs    int     `json:"gpus,omitempty"`
-	Retries int     `json:"retries,omitempty"`
-	Failed  bool    `json:"failed,omitempty"`
-	Submit  float64 `json:"submit"`
-	Start   float64 `json:"start"`
-	End     float64 `json:"end"`
-	Final   float64 `json:"final"`
-}
-
-// WriteJSONL exports traces as JSON Lines.
-func WriteJSONL(w io.Writer, tasks []*profiler.TaskTrace) error {
-	enc := json.NewEncoder(w)
-	f := func(t sim.Time) float64 {
-		if t < 0 {
-			return -1
-		}
-		return t.Seconds()
-	}
-	for _, tr := range tasks {
-		rec := jsonTrace{
-			UID: tr.UID, Backend: tr.Backend,
-			Cores: tr.Cores, GPUs: tr.GPUs,
-			Retries: tr.Retries, Failed: tr.Failed,
-			Submit: f(tr.Submit), Start: f(tr.Start), End: f(tr.End), Final: f(tr.Final),
-		}
-		if err := enc.Encode(&rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OverheadShare returns the fraction of total task wall time spent outside
-// execution (the paper's "runtime overhead" metric applied per task set).
-func OverheadShare(tasks []*profiler.TaskTrace) float64 {
-	var total, exec float64
-	for _, tr := range tasks {
-		if tr.Submit < 0 || tr.Final < 0 {
-			continue
-		}
-		total += tr.Final.Sub(tr.Submit).Seconds()
-		if tr.Ran() {
-			exec += tr.End.Sub(tr.Start).Seconds()
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return 1 - exec/total
 }

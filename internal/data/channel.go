@@ -53,9 +53,6 @@ func (c *Channel) Capacity() float64 { return c.capacity }
 // Bytes returns the total bytes delivered through the channel so far.
 func (c *Channel) Bytes() int64 { return c.bytes }
 
-// Active returns the number of flows currently traversing the channel.
-func (c *Channel) Active() int { return c.nActive }
-
 // note records an occupancy change for the timeline.
 func (c *Channel) note(at sim.Time, frac float64) {
 	if frac == c.lastFrac {

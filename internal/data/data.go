@@ -472,9 +472,6 @@ func (s *System) complete(x any) {
 	}
 }
 
-// InFlight returns the number of active transfers (tests).
-func (s *System) InFlight() int { return len(s.flows) }
-
 // Registry tracks which nodes and tiers hold which datasets.
 type Registry struct {
 	entries map[string]*regEntry

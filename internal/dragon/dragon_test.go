@@ -30,18 +30,30 @@ func newRig(nodes int, cfg Config) (*sim.Engine, *Runtime, *platform.Utilization
 	return eng, rt, util, ctrl
 }
 
+// events adapts a test's start/done funcs to launch.Events; a nil func
+// ignores its callback.
+type events struct {
+	start func(sim.Time)
+	done  func(sim.Time, bool, string)
+}
+
+func (e events) OnStart(at sim.Time) {
+	if e.start != nil {
+		e.start(at)
+	}
+}
+
+func (e events) OnComplete(at sim.Time, failed bool, reason string) {
+	if e.done != nil {
+		e.done(at, failed, reason)
+	}
+}
+
 func req(kind spec.TaskKind, dur sim.Duration, onStart func(sim.Time), onDone func(sim.Time, bool, string)) *launch.Request {
-	if onStart == nil {
-		onStart = func(sim.Time) {}
-	}
-	if onDone == nil {
-		onDone = func(sim.Time, bool, string) {}
-	}
 	return &launch.Request{
-		UID:        "t",
-		TD:         &spec.TaskDescription{Kind: kind, CoresPerRank: 1, Ranks: 1, Duration: dur},
-		OnStart:    onStart,
-		OnComplete: onDone,
+		UID:    "t",
+		TD:     &spec.TaskDescription{Kind: kind, CoresPerRank: 1, Ranks: 1, Duration: dur},
+		Events: events{onStart, onDone},
 	}
 }
 
@@ -147,10 +159,12 @@ func TestCompletionEventsArriveAsynchronously(t *testing.T) {
 	eng, rt, _, _ := newRig(1, Config{})
 	var endAt, completeAt sim.Time
 	rt.Submit(&launch.Request{
-		UID:        "t",
-		TD:         &spec.TaskDescription{Kind: spec.Function, CoresPerRank: 1, Ranks: 1, Duration: 5 * sim.Second},
-		OnStart:    func(at sim.Time) { endAt = at.Add(5 * sim.Second) },
-		OnComplete: func(at sim.Time, _ bool, _ string) { completeAt = at },
+		UID: "t",
+		TD:  &spec.TaskDescription{Kind: spec.Function, CoresPerRank: 1, Ranks: 1, Duration: 5 * sim.Second},
+		Events: events{
+			func(at sim.Time) { endAt = at.Add(5 * sim.Second) },
+			func(at sim.Time, _ bool, _ string) { completeAt = at },
+		},
 	})
 	eng.Run()
 	if completeAt <= endAt {

@@ -69,7 +69,7 @@ func TestBlameFig8StreamingMatchesInMemory(t *testing.T) {
 	fold := obs.NewFold()
 	fold.Blame = obs.NewBlame()
 	cfg := fig8BlameConfig()
-	cfg.Sink = fold
+	cfg.Sink = oneSink(fold)
 	streamed := RunImpeccable(cfg)
 	if len(streamed.Traces) != 0 {
 		t.Fatalf("streaming run retained %d traces; profiler should stream", len(streamed.Traces))

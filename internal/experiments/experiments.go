@@ -15,6 +15,7 @@ import (
 	"rpgo/internal/metrics"
 	"rpgo/internal/model"
 	"rpgo/internal/obs"
+	"rpgo/internal/platform"
 	"rpgo/internal/profiler"
 	"rpgo/internal/sim"
 	"rpgo/internal/spec"
@@ -302,25 +303,34 @@ func HybridCell(nodes, instancesPerRuntime int, taskSeconds float64, seed uint64
 
 // --- IMPECCABLE (Experiments impeccable_srun / impeccable_flux) ---
 
-// ImpeccableConfig parameterizes a campaign run.
+// ImpeccableConfig parameterizes a campaign run: one IMPECCABLE campaign
+// per pilot, each sized to its node share, on a sharded session.
 type ImpeccableConfig struct {
-	Nodes   int
+	// Nodes is the TOTAL node count, split evenly over the pilots.
+	Nodes int
+	// Pilots is the pilot count (≤0 means 1). One pilot shares the
+	// client's domain; Pilots≥2 places each pilot in its own partition
+	// domain.
+	Pilots int
+	// Shards is the worker count for the sharded engine (≤0 means 1).
+	Shards  int
 	Backend spec.Backend // BackendSrun or BackendFlux
 	Seed    uint64
 	// Params overrides model constants; nil = default.
 	Params *model.Params
 	// MaxIters caps pipeline iterations (tests); zero = full campaign.
 	MaxIters int
-	// Sink, when set, receives every completed trace. With a non-retaining
-	// sink the profiler streams instead of retaining: Traces comes back
+	// Sink, when set, builds each domain's trace sink. With non-retaining
+	// sinks the profilers stream instead of retaining: Traces comes back
 	// empty and the trace-derived summary fields stay zero — read the
-	// sink's folds instead.
-	Sink profiler.TraceSink
-	// Profile, when set, self-profiles the run's wall-clock phases
-	// (dispatch, sink folds, placement); nil leaves every hook unset.
+	// sinks' folds instead.
+	Sink func(domain int) profiler.TraceSink
+	// Profile, when set, self-profiles the run's wall-clock phases across
+	// all domains; nil leaves every hook unset.
 	Profile *obs.SelfProfiler
-	// Monitor, when set, is attached to the engine and fed the session's
-	// live snapshot plus campaign progress, and published once at the end.
+	// Monitor, when set, is attached to the sharded coordinator's window
+	// barrier, fed the merged live snapshot and campaign progress, and
+	// published once at the end of the run.
 	Monitor *obs.Monitor
 }
 
@@ -331,7 +341,8 @@ type ImpeccableResult struct {
 	Tasks    int
 	Failed   int
 	Makespan sim.Duration
-	// Traces are the raw per-task records (analytics export).
+	// Traces are the merged per-task records in submission order (empty
+	// in streaming mode).
 	Traces  []*profiler.TaskTrace
 	CPUUtil float64
 	GPUUtil float64
@@ -342,16 +353,41 @@ type ImpeccableResult struct {
 	PeakConcurrency float64
 	// MeanStartRate is the average nonzero start rate.
 	MeanStartRate float64
+	// Windows / CrossEvents / Shards report the sharded engine's work.
+	Windows     uint64
+	CrossEvents uint64
+	Shards      int
+	// BarrierStallNs is total wall-clock time shards spent waiting at
+	// window barriers; LookaheadEff is the measured sim-time advanced per
+	// barrier relative to the lookahead (≥1; higher = fewer barriers per
+	// unit of simulated time).
+	BarrierStallNs int64
+	LookaheadEff   float64
+	// ShardStats are the final per-shard window/traffic counters.
+	ShardStats []obs.ShardRecord
 }
 
-// RunImpeccable executes the campaign end to end.
+// RunImpeccable executes the campaign end to end and merges the per-pilot
+// results. The trace is identical at every shard count.
 func RunImpeccable(cfg ImpeccableConfig) ImpeccableResult {
-	sess := core.NewSession(core.Config{
-		Seed: cfg.Seed, Params: cfg.Params, Sink: cfg.Sink, Profile: cfg.Profile,
+	if cfg.Pilots < 1 {
+		cfg.Pilots = 1
+	}
+	domains := 1
+	if cfg.Pilots > 1 {
+		domains = cfg.Pilots + 1
+	}
+	ss := core.NewShardedSession(core.ShardedConfig{
+		Seed:    cfg.Seed,
+		Params:  cfg.Params,
+		Domains: domains,
+		Shards:  cfg.Shards,
+		Sink:    cfg.Sink,
+		Profile: cfg.Profile,
 	})
 	if cfg.Monitor != nil {
-		cfg.Monitor.Attach(sess.Engine)
-		cfg.Monitor.SetSource(sess.LiveSnapshot)
+		cfg.Monitor.AttachSharded(ss.Eng)
+		cfg.Monitor.SetSource(ss.LiveSnapshot)
 	}
 	var parts []spec.PartitionConfig
 	switch cfg.Backend {
@@ -362,43 +398,77 @@ func RunImpeccable(cfg ImpeccableConfig) ImpeccableResult {
 	default:
 		panic("experiments: impeccable backend must be srun or flux")
 	}
-	pilot, err := sess.SubmitPilot(spec.PilotDescription{
-		Nodes: cfg.Nodes, SMT: 1, Partitions: parts,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: impeccable: %v", err))
+	split := []int{cfg.Nodes}
+	if cfg.Pilots > 1 {
+		split = platform.SplitNodes(cfg.Nodes, cfg.Pilots)
 	}
-	tm := sess.TaskManager(pilot)
+	tms := make([]*core.TaskManager, cfg.Pilots)
+	camps := make([]*campaign.Campaign, cfg.Pilots)
+	for i := 0; i < cfg.Pilots; i++ {
+		pd := spec.PilotDescription{Nodes: split[i], SMT: 1, Partitions: parts}
+		domain := 0
+		ccfg := campaign.Config{Nodes: split[i], MaxIters: cfg.MaxIters, MaxRetries: 2}
+		if cfg.Pilots > 1 {
+			domain = i + 1
+			// Distinct pilot UIDs (each domain numbers its own pilots from
+			// zero) and decorrelated adaptive-sizing streams per campaign.
+			pd.UID = fmt.Sprintf("pilot.%04d", i)
+			ccfg.SizingStream = fmt.Sprintf("campaign.adaptive.p%02d", i)
+		}
+		pilot, err := ss.SubmitPilot(domain, pd)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: impeccable: %v", err))
+		}
+		tm := ss.TaskManager(pilot)
+		camp := campaign.New(ccfg, ss.Client(), tm)
+		if err := camp.Start(); err != nil {
+			panic(fmt.Sprintf("experiments: impeccable: %v", err))
+		}
+		tms[i] = tm
+		camps[i] = camp
+	}
 	if cfg.Monitor != nil {
+		// The heartbeat fires on the coordinator after the window barrier,
+		// when every domain is quiescent, so summing live task-manager
+		// counters here is safe.
 		cfg.Monitor.SetProgress(func() (int, int) {
-			return tm.FinalCount(), tm.SubmittedCount()
+			done, total := 0, 0
+			for _, tm := range tms {
+				done += tm.FinalCount()
+				total += tm.SubmittedCount()
+			}
+			return done, total
 		})
 	}
-	camp := campaign.New(campaign.Config{
-		Nodes:      cfg.Nodes,
-		MaxIters:   cfg.MaxIters,
-		MaxRetries: 2,
-	}, sess, tm)
-	if err := camp.Start(); err != nil {
-		panic(fmt.Sprintf("experiments: impeccable: %v", err))
-	}
-	if err := tm.Wait(); err != nil {
-		panic(fmt.Sprintf("experiments: impeccable: %v", err))
+	// The first Wait drives the sharded engine to global quiescence; the
+	// rest only verify their own completion counts.
+	for _, tm := range tms {
+		if err := tm.Wait(); err != nil {
+			panic(fmt.Sprintf("experiments: impeccable: %v", err))
+		}
 	}
 	cfg.Monitor.Publish()
-	tasks := sess.Profiler.Tasks()
-	start, end := execWindow(tasks)
 
+	tasks := ss.Tasks()
+	start, end := execWindow(tasks)
 	res := ImpeccableResult{
-		Config:      cfg,
-		Tasks:       len(tasks),
-		Failed:      camp.TotalFailed(),
-		Makespan:    metrics.Makespan(tasks),
-		CPUUtil:     metrics.Utilization(tasks, cfg.Nodes*CoresPerNode, start, end),
-		GPUUtil:     metrics.UtilizationGPU(tasks, cfg.Nodes*8, start, end),
-		Concurrency: metrics.ConcurrencySeries(tasks, 400),
-		StartRate:   metrics.RateSeries(tasks, 30*sim.Second, 400),
-		Traces:      tasks,
+		Config:         cfg,
+		Tasks:          len(tasks),
+		Makespan:       metrics.Makespan(tasks),
+		CPUUtil:        metrics.Utilization(tasks, cfg.Nodes*CoresPerNode, start, end),
+		GPUUtil:        metrics.UtilizationGPU(tasks, cfg.Nodes*8, start, end),
+		Concurrency:    metrics.ConcurrencySeries(tasks, 400),
+		StartRate:      metrics.RateSeries(tasks, 30*sim.Second, 400),
+		Traces:         tasks,
+		Windows:        ss.Eng.Windows(),
+		CrossEvents:    ss.Eng.CrossEvents(),
+		Shards:         ss.Eng.Shards(),
+		BarrierStallNs: ss.Eng.BarrierStallNs(),
+		LookaheadEff:   ss.Eng.LookaheadEfficiency(),
+		ShardStats:     obs.ShardRecords(ss.Eng),
+	}
+	for _, camp := range camps {
+		res.Failed += camp.TotalFailed()
 	}
 	res.PeakConcurrency = res.Concurrency.Max()
 	res.MeanStartRate = res.StartRate.Mean()

@@ -151,10 +151,17 @@ func TestGoldenFig8WithInstrumentation(t *testing.T) {
 	if snap.Counters["selfprof.dispatch.samples"] == 0 {
 		t.Error("published snapshot carries no self-profile")
 	}
+	if res.LookaheadEff < 1 {
+		t.Errorf("lookahead efficiency %g < 1", res.LookaheadEff)
+	}
+	if len(res.ShardStats) != 1 || res.ShardStats[0].Events == 0 {
+		t.Errorf("per-shard records missing or empty: %+v", res.ShardStats)
+	}
 }
 
-// TestGoldenShardedWithInstrumentation: same non-perturbation property for
-// the sharded path, at Pilots=1/Shards=1 against the same golden hash.
+// TestGoldenShardedWithInstrumentation: same non-perturbation property
+// through the names kept for the benchmark module, at Pilots=1/Shards=1
+// against the same golden hash.
 func TestGoldenShardedWithInstrumentation(t *testing.T) {
 	prof := obs.NewSelfProfiler()
 	res := RunShardedImpeccable(ShardedImpeccableConfig{
@@ -187,7 +194,7 @@ func TestGoldenShardedWithInstrumentation(t *testing.T) {
 // through the exposition writer.
 func TestShardedTelemetryNonZero(t *testing.T) {
 	prof := obs.NewSelfProfiler()
-	res := RunShardedImpeccable(ShardedImpeccableConfig{
+	res := RunImpeccable(ImpeccableConfig{
 		Nodes:    128,
 		Pilots:   4,
 		Shards:   4,

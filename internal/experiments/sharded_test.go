@@ -7,9 +7,9 @@ import (
 	"rpgo/internal/spec"
 )
 
-// TestShardedGoldenEquivalence: a Pilots=1 / Shards=1 sharded session must
-// reproduce the plain-session golden Fig 8 fingerprint byte for byte — the
-// sharded engine's window loop may not change event order at all.
+// TestShardedGoldenEquivalence: the names kept for the benchmark module,
+// with Pilots=1 / Shards=1 spelled out, must reproduce the golden Fig 8
+// fingerprint byte for byte.
 func TestShardedGoldenEquivalence(t *testing.T) {
 	res := RunShardedImpeccable(ShardedImpeccableConfig{
 		Nodes:    128,
@@ -32,8 +32,8 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 // on: a fixed seed and fixed partition layout must produce identical
 // merged traces and identical blame decompositions for shards = 1, 2, 4, 8.
 func TestShardedShardCountInvariance(t *testing.T) {
-	run := func(shards int) ShardedImpeccableResult {
-		return RunShardedImpeccable(ShardedImpeccableConfig{
+	run := func(shards int) ImpeccableResult {
+		return RunImpeccable(ImpeccableConfig{
 			Nodes:    256,
 			Pilots:   8,
 			Shards:   shards,
@@ -77,7 +77,7 @@ func TestShardedShardCountInvariance(t *testing.T) {
 // than one pilot, cross-partition traffic actually flows, and every
 // campaign finishes.
 func TestShardedMultiPilotProgress(t *testing.T) {
-	res := RunShardedImpeccable(ShardedImpeccableConfig{
+	res := RunImpeccable(ImpeccableConfig{
 		Nodes:    128,
 		Pilots:   4,
 		Shards:   4,

@@ -24,18 +24,30 @@ func newRig(nodes int) (*sim.Engine, *Instance, *platform.UtilizationTracker, *s
 	return eng, in, util, ctrl
 }
 
+// events adapts a test's start/done funcs to launch.Events; a nil func
+// ignores its callback.
+type events struct {
+	start func(sim.Time)
+	done  func(sim.Time, bool, string)
+}
+
+func (e events) OnStart(at sim.Time) {
+	if e.start != nil {
+		e.start(at)
+	}
+}
+
+func (e events) OnComplete(at sim.Time, failed bool, reason string) {
+	if e.done != nil {
+		e.done(at, failed, reason)
+	}
+}
+
 func req(dur sim.Duration, onStart func(sim.Time), onDone func(sim.Time, bool, string)) *launch.Request {
-	if onStart == nil {
-		onStart = func(sim.Time) {}
-	}
-	if onDone == nil {
-		onDone = func(sim.Time, bool, string) {}
-	}
 	return &launch.Request{
-		UID:        "t",
-		TD:         &spec.TaskDescription{CoresPerRank: 1, Ranks: 1, Duration: dur},
-		OnStart:    onStart,
-		OnComplete: onDone,
+		UID:    "t",
+		TD:     &spec.TaskDescription{CoresPerRank: 1, Ranks: 1, Duration: dur},
+		Events: events{onStart, onDone},
 	}
 }
 
@@ -105,10 +117,9 @@ func TestBackfillLetsSmallTasksPassBlockedHead(t *testing.T) {
 	bigStarted := sim.Time(-1)
 	smallStarted := sim.Time(-1)
 	in.Submit(&launch.Request{
-		UID:        "big",
-		TD:         &spec.TaskDescription{Nodes: 2, Ranks: 16, CoresPerRank: 7, Duration: sim.Second},
-		OnStart:    func(at sim.Time) { bigStarted = at },
-		OnComplete: func(sim.Time, bool, string) {},
+		UID:    "big",
+		TD:     &spec.TaskDescription{Nodes: 2, Ranks: 16, CoresPerRank: 7, Duration: sim.Second},
+		Events: events{start: func(at sim.Time) { bigStarted = at }},
 	})
 	in.Submit(req(sim.Second, func(at sim.Time) { smallStarted = at }, nil))
 	eng.Run()

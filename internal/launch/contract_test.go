@@ -55,6 +55,8 @@ type rig struct {
 	util *platform.UtilizationTracker
 	l    launch.Launcher
 	dm   *launch.Daemon
+	// kind is the task kind submit gives its requests.
+	kind spec.TaskKind
 	// readyAt lists every time a Ready callback fired.
 	readyAt []sim.Time
 }
@@ -93,26 +95,31 @@ type task struct {
 	duration sim.Duration
 }
 
+// OnStart implements launch.Events.
+func (tk *task) OnStart(at sim.Time) {
+	tk.starts++
+	tk.startAt = at
+	if tk.onStart != nil {
+		tk.onStart(tk)
+	}
+}
+
+// OnComplete implements launch.Events.
+func (tk *task) OnComplete(at sim.Time, failed bool, reason string) {
+	tk.finals++
+	tk.endAt = at
+	tk.failed = failed
+	tk.reason = reason
+}
+
 func (r *rig) submit(n int, dur sim.Duration) []*task {
 	out := make([]*task, n)
 	for i := range out {
 		tk := &task{startAt: -1, duration: dur}
 		r.l.Submit(&launch.Request{
-			UID: "t",
-			TD:  &spec.TaskDescription{CoresPerRank: 1, Ranks: 1, Duration: dur},
-			OnStart: func(at sim.Time) {
-				tk.starts++
-				tk.startAt = at
-				if tk.onStart != nil {
-					tk.onStart(tk)
-				}
-			},
-			OnComplete: func(at sim.Time, failed bool, reason string) {
-				tk.finals++
-				tk.endAt = at
-				tk.failed = failed
-				tk.reason = reason
-			},
+			UID:      "t",
+			TD:       &spec.TaskDescription{Kind: r.kind, CoresPerRank: 1, Ranks: 1, Duration: dur},
+			Events:   tk,
 			OnPlaced: func(_ sim.Time, ids []int) { tk.nodes = ids },
 		})
 		out[i] = tk
@@ -131,47 +138,53 @@ func count(tasks []*task, pred func(*task) bool) int {
 }
 
 // TestBackendAccounting: submit → start → complete, with every counter,
-// busy slot and partition slot accounted for.
+// busy slot and partition slot accounted for, for executables and for
+// function tasks (which Dragon runs on its own path).
 func TestBackendAccounting(t *testing.T) {
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
-			r := newRig(b, 2)
-			const n = 150 // 112 slots: 38 queue for placement
-			tasks := r.submit(n, 100*sim.Second)
-			r.eng.Run()
-			if len(r.readyAt) != 1 {
-				t.Fatalf("Ready fired %d times, want 1", len(r.readyAt))
-			}
-			for _, tk := range tasks {
-				if tk.starts != 1 || tk.finals != 1 || tk.failed {
-					t.Fatalf("task: starts=%d finals=%d failed=%v (%s)", tk.starts, tk.finals, tk.failed, tk.reason)
-				}
-				if tk.startAt < r.readyAt[0] {
-					t.Fatalf("task started at %v, before Ready at %v", tk.startAt, r.readyAt[0])
-				}
-				ran := tk.endAt.Sub(tk.startAt)
-				if ran < tk.duration || (!b.hop && ran != tk.duration) {
-					t.Fatalf("task ran %v, want %v", ran, tk.duration)
-				}
-			}
-			st := r.l.Stats()
-			if st.Submitted != n || st.Started != n || st.Completed != n || st.Failed != 0 || st.QueueLen != 0 {
-				t.Fatalf("stats: %+v", st)
-			}
-			if r.util.PeakCPU != 112 || r.util.BusyCPU() != 0 {
-				t.Fatalf("busy slots: peak %d (want 112), left %d", r.util.PeakCPU, r.util.BusyCPU())
-			}
-			if free := r.freeCPU(); free != r.part.TotalCPU() {
-				t.Fatalf("partition leaked slots: %d of %d free", free, r.part.TotalCPU())
-			}
-			if tel := r.l.Telemetry(); tel.Placer.Placed != n || tel.QueueHighWater == 0 {
-				t.Fatalf("telemetry: %+v", tel)
-			}
-			if r.l.Nodes() != 2 || r.l.Backend().String() != b.name {
-				t.Fatalf("identity: %d nodes, backend %v", r.l.Nodes(), r.l.Backend())
-			}
-			if (r.dm != nil) != (r.l.BootstrapOverhead() > 0) {
-				t.Fatalf("bootstrap overhead %v", r.l.BootstrapOverhead())
+			for _, kind := range []spec.TaskKind{spec.Executable, spec.Function} {
+				t.Run(kind.String(), func(t *testing.T) {
+					r := newRig(b, 2)
+					r.kind = kind
+					const n = 150 // 112 slots: 38 queue for placement
+					tasks := r.submit(n, 100*sim.Second)
+					r.eng.Run()
+					if len(r.readyAt) != 1 {
+						t.Fatalf("Ready fired %d times, want 1", len(r.readyAt))
+					}
+					for _, tk := range tasks {
+						if tk.starts != 1 || tk.finals != 1 || tk.failed {
+							t.Fatalf("task: starts=%d finals=%d failed=%v (%s)", tk.starts, tk.finals, tk.failed, tk.reason)
+						}
+						if tk.startAt < r.readyAt[0] {
+							t.Fatalf("task started at %v, before Ready at %v", tk.startAt, r.readyAt[0])
+						}
+						ran := tk.endAt.Sub(tk.startAt)
+						if ran < tk.duration || (!b.hop && ran != tk.duration) {
+							t.Fatalf("task ran %v, want %v", ran, tk.duration)
+						}
+					}
+					st := r.l.Stats()
+					if st.Submitted != n || st.Started != n || st.Completed != n || st.Failed != 0 || st.QueueLen != 0 {
+						t.Fatalf("stats: %+v", st)
+					}
+					if r.util.PeakCPU != 112 || r.util.BusyCPU() != 0 {
+						t.Fatalf("busy slots: peak %d (want 112), left %d", r.util.PeakCPU, r.util.BusyCPU())
+					}
+					if free := r.freeCPU(); free != r.part.TotalCPU() {
+						t.Fatalf("partition leaked slots: %d of %d free", free, r.part.TotalCPU())
+					}
+					if tel := r.l.Telemetry(); tel.Placer.Placed != n || tel.QueueHighWater == 0 {
+						t.Fatalf("telemetry: %+v", tel)
+					}
+					if r.l.Nodes() != 2 || r.l.Backend().String() != b.name {
+						t.Fatalf("identity: %d nodes, backend %v", r.l.Nodes(), r.l.Backend())
+					}
+					if (r.dm != nil) != (r.l.BootstrapOverhead() > 0) {
+						t.Fatalf("bootstrap overhead %v", r.l.BootstrapOverhead())
+					}
+				})
 			}
 		})
 	}
@@ -183,19 +196,18 @@ func TestBackendOversizedFailsFast(t *testing.T) {
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
 			r := newRig(b, 1)
-			var failed bool
-			var reason string
+			tk := &task{startAt: -1}
 			r.l.Submit(&launch.Request{
-				UID:     "big",
-				TD:      &spec.TaskDescription{Nodes: 2, Ranks: 2, CoresPerRank: 1},
-				OnStart: func(sim.Time) { t.Error("oversized task must not start") },
-				OnComplete: func(_ sim.Time, f bool, why string) {
-					failed, reason = f, why
-				},
+				UID:    "big",
+				TD:     &spec.TaskDescription{Nodes: 2, Ranks: 2, CoresPerRank: 1},
+				Events: tk,
 			})
 			r.eng.Run()
-			if !failed || !strings.Contains(reason, "big") {
-				t.Fatalf("oversized task: failed=%v reason=%q", failed, reason)
+			if tk.starts != 0 {
+				t.Error("oversized task must not start")
+			}
+			if tk.finals != 1 || !tk.failed || !strings.Contains(tk.reason, "big") {
+				t.Fatalf("oversized task: finals=%d failed=%v reason=%q", tk.finals, tk.failed, tk.reason)
 			}
 			if st := r.l.Stats(); st.Submitted != 1 || st.Failed != 1 || st.Started != 0 {
 				t.Fatalf("stats: %+v", st)

@@ -15,11 +15,9 @@ import (
 	"rpgo/internal/spec"
 )
 
-// Events receives a request's lifecycle callbacks. It exists for the hot
-// path: the agent implements it on one per-dispatch record, replacing the
-// two closure allocations the OnStart/OnComplete fields would cost.
-// Requests may set either Events or the plain func fields; backends must
-// deliver through NotifyStart/NotifyComplete, which prefer Events.
+// Events receives a request's lifecycle callbacks. The agent implements it
+// on its one per-dispatch record, so a launch costs no callback closures.
+// Backends deliver through NotifyStart/NotifyComplete.
 type Events interface {
 	// OnStart fires when the task process begins executing.
 	OnStart(at sim.Time)
@@ -34,16 +32,8 @@ type Request struct {
 	UID string
 	// TD is the task description (resources, duration, kind).
 	TD *spec.TaskDescription
-	// Events, when set, receives the start/complete callbacks (preferred
-	// over the func fields below).
+	// Events, when set, receives the start/complete callbacks.
 	Events Events
-	// OnStart fires when the task process begins executing. Ignored when
-	// Events is set.
-	OnStart func(at sim.Time)
-	// OnComplete fires when the task finishes; failed marks
-	// infrastructure failures (the task may be retried by the agent).
-	// Ignored when Events is set.
-	OnComplete func(at sim.Time, failed bool, reason string)
 	// Body, when set, replaces the fixed TD.Duration sleep as the task's
 	// process body: the backend invokes it once the process starts, and
 	// the task completes when the body calls done. Tasks whose wall time
@@ -87,10 +77,6 @@ func (r *Request) Enqueue(at sim.Time) {
 func (r *Request) NotifyStart(at sim.Time) {
 	if r.Events != nil {
 		r.Events.OnStart(at)
-		return
-	}
-	if r.OnStart != nil {
-		r.OnStart(at)
 	}
 }
 
@@ -98,19 +84,20 @@ func (r *Request) NotifyStart(at sim.Time) {
 func (r *Request) NotifyComplete(at sim.Time, failed bool, reason string) {
 	if r.Events != nil {
 		r.Events.OnComplete(at, failed, reason)
-		return
-	}
-	if r.OnComplete != nil {
-		r.OnComplete(at, failed, reason)
 	}
 }
 
-// StartBody runs the task's process body at the current time: Body when
-// set, otherwise a TD.Duration sleep. done is invoked exactly once when
-// the body ends, even if a buggy body calls it repeatedly.
-func (r *Request) StartBody(eng *sim.Engine, done func()) {
+// StartBodyCall runs the task's process body at the current time and calls
+// fn(arg) exactly once when it ends. Without a Body — the overwhelmingly
+// common fixed-duration task — it schedules fn(arg) after TD.Duration
+// through the engine's pooled arg-carrying event, costing no closure
+// allocation. A Body's completion is always its own engine event, exactly
+// like the fixed-duration path, so body implementations cannot perturb
+// event ordering by calling done synchronously, and a buggy body that
+// calls done repeatedly completes the task once.
+func (r *Request) StartBodyCall(eng *sim.Engine, fn func(any), arg any) {
 	if r.Body == nil {
-		eng.After(r.TD.Duration, done)
+		eng.AfterCall(r.TD.Duration, fn, arg)
 		return
 	}
 	called := false
@@ -119,23 +106,8 @@ func (r *Request) StartBody(eng *sim.Engine, done func()) {
 			return
 		}
 		called = true
-		// Completion is always its own engine event, exactly like the
-		// After(Duration) path, so body implementations cannot perturb
-		// event ordering by calling done synchronously.
-		eng.Immediately(done)
+		eng.ImmediatelyCall(fn, arg)
 	})
-}
-
-// StartBodyCall is StartBody for hot paths: when Body is nil — the
-// overwhelmingly common fixed-duration task — it schedules fn(arg) after
-// TD.Duration through the engine's pooled arg-carrying event, costing no
-// closure allocation. Tasks with a Body fall back to StartBody.
-func (r *Request) StartBodyCall(eng *sim.Engine, fn func(any), arg any) {
-	if r.Body == nil {
-		eng.AfterCall(r.TD.Duration, fn, arg)
-		return
-	}
-	r.StartBody(eng, func() { fn(arg) })
 }
 
 // Stats captures backend counters for analytics.

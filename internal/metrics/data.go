@@ -80,37 +80,3 @@ func (s DataSummary) Routes() []string {
 	})
 	return keys
 }
-
-// TransferRateSeries builds the aggregate transfer bandwidth over time
-// (bytes/s delivered, attributed to each transfer's completion window) in
-// fixed windows of the given width.
-func TransferRateSeries(transfers []profiler.TransferTrace, window sim.Duration, maxPoints int) Series {
-	s := Series{Name: "transfer_bytes/s"}
-	if len(transfers) == 0 || window <= 0 {
-		return s
-	}
-	// Spread each transfer's bytes uniformly over [Start, End].
-	type edge struct {
-		t sim.Time
-		r float64 // bytes/s delta
-	}
-	var edges []edge
-	for _, t := range transfers {
-		d := t.End.Sub(t.Start).Seconds()
-		if d <= 0 {
-			d = window.Seconds()
-		}
-		rate := float64(t.Bytes) / d
-		edges = append(edges, edge{t.Start, rate}, edge{t.End, -rate})
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].t < edges[j].t })
-	cur := 0.0
-	for _, e := range edges {
-		cur += e.r
-		if cur < 0 {
-			cur = 0
-		}
-		s.Points = append(s.Points, Point{T: e.t, V: cur})
-	}
-	return Downsample(s, maxPoints)
-}

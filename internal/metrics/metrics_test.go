@@ -228,6 +228,16 @@ func TestMakespanUsesSubmitAndFinal(t *testing.T) {
 	if m := Makespan([]*profiler.TaskTrace{a}); m != sim.Seconds(20) {
 		t.Fatalf("makespan = %v, want 20s", m)
 	}
+	// A task without a terminal timestamp ends at End.
+	b := trace("b", 10, 50, 1, 0)
+	b.Submit = sim.Time(sim.Seconds(2))
+	b.Final = -1
+	if m := Makespan([]*profiler.TaskTrace{a, b}); m != sim.Seconds(48) {
+		t.Fatalf("makespan = %v, want 48s", m)
+	}
+	if m := Makespan(nil); m != 0 {
+		t.Fatalf("empty makespan = %v, want 0", m)
+	}
 }
 
 func TestDownsamplePreservesMax(t *testing.T) {

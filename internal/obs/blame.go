@@ -184,10 +184,6 @@ func itoa(n int) string {
 // Tasks returns the number of folded task digests.
 func (b *Blame) Tasks() int { return len(b.sums) }
 
-// Summaries returns the accumulated digests (the streaming input of
-// analytics.ComputeBlame).
-func (b *Blame) Summaries() []analytics.TaskSummary { return b.sums }
-
 // Stragglers returns the detector's flags, longest span first.
 func (b *Blame) Stragglers() []analytics.Straggler { return b.stragglers }
 

@@ -255,9 +255,6 @@ func (f *Fold) Transfers() int { return f.transfers }
 // TransferBytes returns total bytes across folded transfers.
 func (f *Fold) TransferBytes() int64 { return f.transferBytes }
 
-// TransferQuantile returns the q-quantile transfer duration in seconds.
-func (f *Fold) TransferQuantile(q float64) float64 { return f.xferHist.Quantile(q) }
-
 // BytesStaged returns the per-task staging byte totals (in, out).
 func (f *Fold) BytesStaged() (in, out int64) { return f.bytesIn, f.bytesOut }
 

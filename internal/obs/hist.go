@@ -69,9 +69,6 @@ func (h *Hist) Observe(v float64) {
 // N returns the sample count.
 func (h *Hist) N() uint64 { return h.n }
 
-// Sum returns the sample sum.
-func (h *Hist) Sum() float64 { return h.sum }
-
 // Mean returns the exact sample mean (sum is tracked, not bucketed).
 func (h *Hist) Mean() float64 {
 	if h.n == 0 {

@@ -78,9 +78,6 @@ func (n *Node) FreeGPU() int {
 // Down reports whether the node is currently failed.
 func (n *Node) Down() bool { return n.down }
 
-// Exclusive reports whether the node is reserved whole.
-func (n *Node) Exclusive() bool { return n.allocated }
-
 // Cluster is a set of nodes of a single profile.
 type Cluster struct {
 	Spec  NodeSpec
@@ -464,9 +461,6 @@ func (u *UtilizationTracker) Remove(at sim.Time, cpu, gpu int) {
 // BusyCPU returns currently busy CPU slots.
 func (u *UtilizationTracker) BusyCPU() int { return u.busyCPU }
 
-// BusyGPU returns currently busy GPU slots.
-func (u *UtilizationTracker) BusyGPU() int { return u.busyGPU }
-
 // CPUUtilization returns the time-averaged CPU utilization over [start, end]
 // as a fraction in [0,1].
 func (u *UtilizationTracker) CPUUtilization(start, end sim.Time) float64 {
@@ -487,6 +481,3 @@ func (u *UtilizationTracker) GPUUtilization(start, end sim.Time) float64 {
 	}
 	return u.gpuBusyTime / (float64(u.totalGPU) * span)
 }
-
-// CoreSeconds returns accumulated busy core-seconds up to the last advance.
-func (u *UtilizationTracker) CoreSeconds() float64 { return u.cpuBusyTime }

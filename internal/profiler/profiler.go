@@ -310,10 +310,9 @@ type Profiler struct {
 
 	// sink observes completed records; retain controls whether the
 	// profiler also keeps them (streaming sinks turn retention off).
-	sink    TraceSink
-	retain  bool
-	nTasks  int
-	nFinals int
+	sink   TraceSink
+	retain bool
+	nTasks int
 
 	// Phase, when set, receives one sim.PhaseSinkFold wall-clock sample per
 	// sink callback — the self-profiler's view of how much real time the
@@ -404,7 +403,6 @@ func (p *Profiler) Task(uid string) *TaskTrace {
 // profiler then drops its own reference so trace memory stays bounded.
 // (Callers may keep using the pointer; only the index entry is released.)
 func (p *Profiler) TaskFinal(t *TaskTrace) {
-	p.nFinals++
 	if p.sink != nil {
 		var t0 time.Time
 		if p.Phase != nil {
@@ -436,9 +434,6 @@ func (p *Profiler) Tasks() []*TaskTrace { return p.order }
 
 // NumTasks returns the number of traced tasks, retained or streamed.
 func (p *Profiler) NumTasks() int { return p.nTasks }
-
-// NumFinals returns how many tasks reached a terminal state.
-func (p *Profiler) NumFinals() int { return p.nFinals }
 
 // Request appends one completed inference-request trace.
 func (p *Profiler) Request(rt RequestTrace) {
@@ -525,38 +520,4 @@ func (p *Profiler) EventsFor(entity string) []Event {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
 	return out
-}
-
-// StartTimes returns the sorted start times of all tasks that ran.
-func (p *Profiler) StartTimes() []sim.Time {
-	out := make([]sim.Time, 0, len(p.order))
-	for _, t := range p.order {
-		if t.Start >= 0 {
-			out = append(out, t.Start)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Makespan returns the span from the earliest submit to the latest terminal
-// event.
-func (p *Profiler) Makespan() sim.Duration {
-	var first, last sim.Time = -1, -1
-	for _, t := range p.order {
-		if t.Submit >= 0 && (first < 0 || t.Submit < first) {
-			first = t.Submit
-		}
-		end := t.Final
-		if end < 0 {
-			end = t.End
-		}
-		if end > last {
-			last = end
-		}
-	}
-	if first < 0 || last < 0 {
-		return 0
-	}
-	return last.Sub(first)
 }

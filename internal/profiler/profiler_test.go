@@ -29,40 +29,6 @@ func TestTaskTraceLifecycle(t *testing.T) {
 	}
 }
 
-func TestStartTimesSorted(t *testing.T) {
-	p := New()
-	for i, s := range []sim.Time{5, 1, 3} {
-		tr := p.Task(string(rune('a' + i)))
-		tr.Start = s * sim.Time(sim.Second)
-	}
-	p.Task("never-ran")
-	starts := p.StartTimes()
-	if len(starts) != 3 {
-		t.Fatalf("got %d starts", len(starts))
-	}
-	for i := 1; i < len(starts); i++ {
-		if starts[i] < starts[i-1] {
-			t.Fatal("starts not sorted")
-		}
-	}
-}
-
-func TestMakespan(t *testing.T) {
-	p := New()
-	a := p.Task("a")
-	a.Submit = sim.Time(10 * sim.Second)
-	a.Final = sim.Time(100 * sim.Second)
-	b := p.Task("b")
-	b.Submit = sim.Time(5 * sim.Second)
-	b.End = sim.Time(50 * sim.Second) // Final unset: falls back to End
-	if got := p.Makespan(); got != 95*sim.Second {
-		t.Fatalf("makespan = %v, want 95s", got)
-	}
-	if New().Makespan() != 0 {
-		t.Fatal("empty profiler makespan should be 0")
-	}
-}
-
 func TestEventLogDisabledByDefault(t *testing.T) {
 	p := New()
 	p.Log(0, "x", "state", "NEW")

@@ -88,9 +88,6 @@ func (s *Semaphore) Capacity() int { return s.capacity }
 // InUse returns the number of currently held units.
 func (s *Semaphore) InUse() int { return s.inUse }
 
-// Waiting returns the number of queued acquisitions.
-func (s *Semaphore) Waiting() int { return len(s.waiters) }
-
 // Acquire requests n units and invokes fn (asynchronously, via the engine)
 // once they are granted. Grants are strictly FIFO: a large request at the
 // head of the queue blocks later small ones, matching how Slurm serializes

@@ -23,18 +23,30 @@ func newRig(nodes int) (*sim.Engine, *Controller, *SrunLauncher, *platform.Utili
 	return eng, ctrl, l, util
 }
 
+// events adapts a test's start/done funcs to launch.Events; a nil func
+// ignores its callback.
+type events struct {
+	start func(sim.Time)
+	done  func(sim.Time, bool, string)
+}
+
+func (e events) OnStart(at sim.Time) {
+	if e.start != nil {
+		e.start(at)
+	}
+}
+
+func (e events) OnComplete(at sim.Time, failed bool, reason string) {
+	if e.done != nil {
+		e.done(at, failed, reason)
+	}
+}
+
 func req(uid string, dur sim.Duration, onStart func(sim.Time), onDone func(sim.Time, bool, string)) *launch.Request {
-	if onStart == nil {
-		onStart = func(sim.Time) {}
-	}
-	if onDone == nil {
-		onDone = func(sim.Time, bool, string) {}
-	}
 	return &launch.Request{
-		UID:        uid,
-		TD:         &spec.TaskDescription{CoresPerRank: 1, Ranks: 1, Duration: dur},
-		OnStart:    onStart,
-		OnComplete: onDone,
+		UID:    uid,
+		TD:     &spec.TaskDescription{CoresPerRank: 1, Ranks: 1, Duration: dur},
+		Events: events{onStart, onDone},
 	}
 }
 
@@ -140,12 +152,14 @@ func TestOversizedTaskFailsFast(t *testing.T) {
 	var failed bool
 	var reason string
 	l.Submit(&launch.Request{
-		UID:     "big",
-		TD:      &spec.TaskDescription{Nodes: 2, Ranks: 2, CoresPerRank: 1},
-		OnStart: func(sim.Time) { t.Error("oversized task must not start") },
-		OnComplete: func(_ sim.Time, f bool, r string) {
-			failed = f
-			reason = r
+		UID: "big",
+		TD:  &spec.TaskDescription{Nodes: 2, Ranks: 2, CoresPerRank: 1},
+		Events: events{
+			func(sim.Time) { t.Error("oversized task must not start") },
+			func(_ sim.Time, f bool, r string) {
+				failed = f
+				reason = r
+			},
 		},
 	})
 	eng.Run()
