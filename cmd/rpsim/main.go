@@ -54,7 +54,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a JSONL trace spill, shard records included (impeccable_*)")
 	flag.Parse()
 
-	if err := checkSizes(*nodes, *pilots, *reps); err != nil {
+	if err := checkSizes(*nodes, *pilots, *reps, *instances); err != nil {
 		fmt.Fprintf(os.Stderr, "rpsim: %v\n", err)
 		os.Exit(2)
 	}
@@ -111,6 +111,13 @@ func main() {
 	if *tasks > 0 {
 		cfg.Tasks = *tasks
 	}
+	// The cell's layout must fit the pilot (flux_dragon halves the nodes
+	// between its two runtimes).
+	pd := spec.PilotDescription{UID: "pilot.0000", Nodes: cfg.Nodes, Partitions: cfg.Partitions}
+	if err := pd.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "rpsim: %v\n", err)
+		os.Exit(2)
+	}
 
 	res := experiments.RunThroughput(cfg)
 	fmt.Printf("experiment %s: %d nodes, %d tasks (%s), %d reps\n",
@@ -125,7 +132,7 @@ func main() {
 }
 
 // checkSizes rejects run sizes no experiment can run.
-func checkSizes(nodes, pilots, reps int) error {
+func checkSizes(nodes, pilots, reps, instances int) error {
 	switch {
 	case nodes < 1:
 		return errors.New("-nodes must be at least 1")
@@ -135,6 +142,10 @@ func checkSizes(nodes, pilots, reps int) error {
 		return fmt.Errorf("-nodes %d cannot be split over -pilots %d", nodes, pilots)
 	case reps < 1:
 		return errors.New("-reps must be at least 1")
+	case instances < 1:
+		return errors.New("-instances must be at least 1")
+	case nodes < instances:
+		return fmt.Errorf("-nodes %d cannot host -instances %d", nodes, instances)
 	}
 	return nil
 }

@@ -65,11 +65,14 @@ type Task struct {
 	serviceStarted    bool
 }
 
-// transition validates and applies a state change, timestamping the trace.
+// transition validates and applies a state change, logging it when the
+// full event log is on (the state name is formatted only then).
 func (a *Agent) transition(t *Task, to states.TaskState) {
 	states.Validate(t.State, to)
 	t.State = to
-	a.prof.Log(a.eng.Now(), t.TD.UID, "state", to.String())
+	if a.prof.RecordEvents {
+		a.prof.Log(a.eng.Now(), t.TD.UID, "state", to.String())
+	}
 }
 
 // Agent manages task execution on one pilot allocation.
@@ -106,8 +109,10 @@ type Agent struct {
 	// sm manages deployed inference-service endpoints (lazily created).
 	sm *ServiceManager
 
-	// notifyDoneFn is the prebound notifyDone, shared by every finish.
+	// notifyDoneFn is the prebound notifyDone, shared by every finish;
+	// scheduledFn the prebound scheduled, which releases parked tasks.
 	notifyDoneFn func(any)
+	scheduledFn  func(any)
 
 	// retryStream seeds backoff jitter; it draws only when the failure-
 	// aware exponential backoff is configured with a jitter fraction, so
@@ -175,6 +180,7 @@ func New(desc spec.PilotDescription, eng *sim.Engine, ctrl *slurm.Controller,
 		gInflight: reg.Gauge("agent.inflight_tasks"),
 	}
 	a.notifyDoneFn = a.notifyDone
+	a.scheduledFn = func(arg any) { a.scheduled(arg.(*Task)) }
 	a.retryStream = src.Stream("agent.retry")
 	// Stagers run multiple concurrent instances (stacked boxes in Fig 1).
 	stream := src.Stream("agent.stagers")
@@ -261,7 +267,7 @@ func (a *Agent) bootstrapBackends() {
 	parked := a.preBootstrap
 	a.preBootstrap = nil
 	for _, t := range parked {
-		a.eng.Immediately(func() { a.scheduled(t) })
+		a.eng.ImmediatelyCall(a.scheduledFn, t)
 	}
 }
 

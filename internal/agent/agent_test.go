@@ -45,7 +45,7 @@ func newRig(t *testing.T, pd spec.PilotDescription) *rig {
 }
 
 func (r *rig) task(td *spec.TaskDescription, uid string) *Task {
-	tr := r.prof.Task(uid)
+	tr := r.prof.NewTask(uid)
 	tr.Submit = r.eng.Now()
 	td.UID = uid
 	return &Task{TD: td, State: states.TaskTMGRSchedule, Trace: tr}

@@ -100,7 +100,7 @@ func (sm *ServiceManager) replicaLauncher(sd spec.ServiceDescription) service.La
 			Workflow:     "service." + sd.Name,
 			Stage:        "replica",
 		}
-		tr := a.prof.Task(uid)
+		tr := a.prof.NewTask(uid)
 		tr.Submit = a.eng.Now()
 		t := &Task{
 			TD:    td,

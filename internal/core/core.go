@@ -354,7 +354,7 @@ func (tm *TaskManager) Submit(tds []*spec.TaskDescription) []*agent.Task {
 			td.UID = taskUID(tm.sess.taskSeq)
 		}
 		tm.sess.taskSeq++
-		tr := tm.sess.Profiler.Task(td.UID)
+		tr := tm.sess.Profiler.NewTask(td.UID)
 		tr.Submit = now
 		tr.Workflow = td.Workflow
 		t := &arena[i]
@@ -394,12 +394,6 @@ func (tm *TaskManager) submitBatch(arg any) {
 
 func (tm *TaskManager) taskDone(t *agent.Task) {
 	tm.final++
-	if tm.xd != nil && !tm.sess.Profiler.Retain() {
-		// Cross-domain streaming runs: the final notification fired on the
-		// pilot domain's profiler, so release the client-side index entry
-		// here or it leaks for the life of the campaign.
-		tm.sess.Profiler.TaskRelease(t.TD.UID)
-	}
 	if tm.OnComplete != nil {
 		tm.OnComplete(t)
 	}

@@ -75,6 +75,34 @@ func TestTaskUIDAssignment(t *testing.T) {
 	}
 }
 
+// TestDuplicateUIDsKeepSeparateTraces: two submissions that share a caller
+// UID are two tasks, each with its own trace; neither overwrites the other.
+func TestDuplicateUIDsKeepSeparateTraces(t *testing.T) {
+	sess := core.NewSession(core.Config{Seed: 1})
+	pilot, _ := sess.SubmitPilot(spec.PilotDescription{Nodes: 1})
+	tm := sess.TaskManager(pilot)
+	tds := workload.Dummy(2, sim.Seconds(5))
+	for _, td := range tds {
+		td.UID = "dup"
+	}
+	tasks := tm.Submit(tds)
+	if err := tm.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if tasks[0].Trace == tasks[1].Trace {
+		t.Fatal("tasks with a shared UID share one trace")
+	}
+	traces := sess.Profiler.Tasks()
+	if len(traces) != 2 || sess.Profiler.NumTasks() != 2 {
+		t.Fatalf("profiler holds %d traces (NumTasks %d) for 2 submitted tasks", len(traces), sess.Profiler.NumTasks())
+	}
+	for i, tr := range traces {
+		if tr != tasks[i].Trace || tr.UID != "dup" || tr.Final < 0 || tr.Failed {
+			t.Fatalf("trace %d: %+v", i, tr)
+		}
+	}
+}
+
 func TestPilotCancelDrainsTasks(t *testing.T) {
 	sess := core.NewSession(core.Config{Seed: 2})
 	pilot, _ := sess.SubmitPilot(spec.PilotDescription{Nodes: 1})

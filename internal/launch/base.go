@@ -16,12 +16,17 @@ import (
 	"rpgo/internal/spec"
 )
 
-// Job is one placed request in flight through a backend. It is the single
-// record a launch allocates inside a backend and the argument every launch
-// stage receives through the engine's pooled arg-carrying events.
+// Job is one placed request in flight through a backend, and the argument
+// every launch stage receives through the engine's pooled arg-carrying
+// events. It lives inside its Request, as does the placement Pl points to,
+// so a launch allocates nothing inside a backend.
 type Job struct {
 	Req *Request
 	Pl  *platform.Placement
+	// StepAt is when the job's srun step was requested (srun only): the
+	// wait from here to the registered step is the srun.ceiling queue
+	// edge.
+	StepAt sim.Time
 	// runIdx is the slot in the running list, -1 when not running.
 	runIdx int32
 	// gen is the crash generation the job was placed in. A job that
@@ -206,8 +211,10 @@ func (b *Base) Pending() bool { return b.ready && !b.down && b.queue.Len() > 0 }
 
 // Next is the pump's scheduling step: it places the next queued request
 // (data affinity, then FCFS, then up to backfill requests past a blocked
-// head) and returns it as a new in-flight job. It returns nil when the
-// backend is not up, the queue is empty or nothing can place.
+// head) and returns the request's job, now in flight. It returns nil when
+// the backend is not up, the queue is empty or nothing can place. A
+// request is placed at most once; Next panics on a second placement,
+// which would overwrite the slots of the first.
 func (b *Base) Next(backfill int) *Job {
 	if !b.Pending() {
 		return nil
@@ -216,7 +223,12 @@ func (b *Base) Next(backfill int) *Job {
 	if pl == nil {
 		return nil
 	}
-	return &Job{Req: r, Pl: pl, runIdx: -1, gen: b.gen}
+	j := &r.job
+	if j.Req != nil {
+		panic(fmt.Sprintf("launch: %s placed request %s a second time at %v", b.m.Name, r.UID, b.Eng.Now()))
+	}
+	*j = Job{Req: r, Pl: pl, runIdx: -1, gen: b.gen}
+	return j
 }
 
 // Live reports whether a job surfacing from a launch stage may go on. A

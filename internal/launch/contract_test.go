@@ -378,3 +378,37 @@ func TestBackendRestart(t *testing.T) {
 		})
 	}
 }
+
+// TestBackendPlacesRequestOnce: a request carries its own job and placement
+// storage, so placing it a second time would overwrite the slots of the
+// first placement. The chassis refuses with a panic naming the request,
+// the backend instance and the sim time.
+func TestBackendPlacesRequestOnce(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			r := newRig(b, 1)
+			tk := &task{startAt: -1}
+			req := &launch.Request{
+				UID:    "task.once",
+				TD:     &spec.TaskDescription{CoresPerRank: 1, Ranks: 1, Duration: sim.Second},
+				Events: tk,
+			}
+			r.l.Submit(req)
+			r.eng.Run()
+			if tk.finals != 1 || tk.failed {
+				t.Fatalf("first placement: finals=%d failed=%v (%s)", tk.finals, tk.failed, tk.reason)
+			}
+			defer func() {
+				msg, _ := recover().(string)
+				at := r.eng.Now().String()
+				for _, want := range []string{"task.once", b.name + ".0", at} {
+					if !strings.Contains(msg, want) {
+						t.Fatalf("panic %q does not name %q", msg, want)
+					}
+				}
+			}()
+			r.l.Submit(req)
+			r.eng.Run()
+		})
+	}
+}

@@ -63,6 +63,12 @@ type Request struct {
 	// capacity at least once — the difference between plain FIFO queueing
 	// and placement starvation in the blame taxonomy.
 	Denied bool
+
+	// job and pl are the request's in-flight record and its claimed
+	// slots. Placement fills them in place, so placing a request costs no
+	// allocation of its own; a request is placed at most once.
+	job Job
+	pl  platform.Placement
 }
 
 // Enqueue stamps the request's arrival in a backend queue. Backends call it
@@ -381,8 +387,9 @@ func (p *Placer) recordWatermark(maxCPU, maxGPU int) {
 	p.maxFreeGPU = maxGPU
 }
 
-// Place finds and claims slots for the task. It returns nil when the
-// partition currently lacks capacity (the caller re-tries when slots free).
+// Place finds and claims slots for the task in a newly allocated
+// placement. It returns nil when the partition currently lacks capacity
+// (the caller re-tries when slots free).
 func (p *Placer) Place(at sim.Time, td *spec.TaskDescription) *platform.Placement {
 	var t0 time.Time
 	if p.Phase != nil {
@@ -390,9 +397,9 @@ func (p *Placer) Place(at sim.Time, td *spec.TaskDescription) *platform.Placemen
 	}
 	var pl *platform.Placement
 	if td.MultiNode() {
-		pl = p.placeMultiNode(at, td, nil)
+		pl = p.placeMultiNode(at, td, nil, nil)
 	} else {
-		pl = p.placeSingleNode(at, td, nil)
+		pl = p.placeSingleNode(at, td, nil, nil)
 	}
 	if p.Phase != nil {
 		p.Phase(sim.PhasePlacement, time.Since(t0).Nanoseconds())
@@ -400,11 +407,12 @@ func (p *Placer) Place(at sim.Time, td *spec.TaskDescription) *platform.Placemen
 	return pl
 }
 
-// PlaceRequest places a launch request: the request's preferred nodes
-// (data-aware scheduling hints) are tried in listed order before the
-// default policy, and on success the request's OnPlaced hook fires with
-// the chosen node IDs. Backends call this instead of Place so placement
-// stays a single code path across runtime systems.
+// PlaceRequest places a launch request into the request's own placement
+// storage: the request's preferred nodes (data-aware scheduling hints) are
+// tried in listed order before the default policy, and on success the
+// request's OnPlaced hook fires with the chosen node IDs. Backends call
+// this instead of Place so placement stays a single code path across
+// runtime systems.
 func (p *Placer) PlaceRequest(at sim.Time, r *Request) *platform.Placement {
 	var prefer []int
 	if r.Prefer != nil {
@@ -412,9 +420,9 @@ func (p *Placer) PlaceRequest(at sim.Time, r *Request) *platform.Placement {
 	}
 	var pl *platform.Placement
 	if r.TD.MultiNode() {
-		pl = p.placeMultiNode(at, r.TD, prefer)
+		pl = p.placeMultiNode(at, r.TD, prefer, &r.pl)
 	} else {
-		pl = p.placeSingleNode(at, r.TD, prefer)
+		pl = p.placeSingleNode(at, r.TD, prefer, &r.pl)
 	}
 	if pl != nil && r.OnPlaced != nil {
 		r.OnPlaced(at, append([]int(nil), pl.NodeIDs...))
@@ -525,18 +533,26 @@ func (p *Placer) placePreferredOnly(at sim.Time, r *Request, prefer []int) *plat
 	cores := r.TD.TotalCores()
 	gpus := r.TD.TotalGPUs()
 	for _, id := range prefer {
-		node := p.preferredNode(id, cores, gpus)
-		if node == nil {
-			continue
+		if node := p.preferredNode(id, cores, gpus); node != nil {
+			return p.claimSingle(at, &r.pl, node.ID, cores, gpus)
 		}
-		pl := platform.NewSingleNodePlacement(node.ID, cores, gpus)
-		if err := p.part.Claim(at, pl); err != nil {
-			panic(fmt.Sprintf("launch: claim after fit check failed: %v", err))
-		}
-		p.stats.Placed++
-		return pl
 	}
 	return nil
+}
+
+// claimSingle claims cores and gpus on one node into dst, or into a new
+// placement when dst is nil.
+func (p *Placer) claimSingle(at sim.Time, dst *platform.Placement, node, cores, gpus int) *platform.Placement {
+	if dst == nil {
+		dst = platform.NewSingleNodePlacement(node, cores, gpus)
+	} else {
+		dst.SetSingleNode(node, cores, gpus)
+	}
+	if err := p.part.Claim(at, dst); err != nil {
+		panic(fmt.Sprintf("launch: claim after fit check failed: %v", err))
+	}
+	p.stats.Placed++
+	return dst
 }
 
 // preferredNode resolves a hinted node ID to a partition node with enough
@@ -553,7 +569,9 @@ func (p *Placer) preferredNode(id, cores, gpus int) *platform.Node {
 	return nil
 }
 
-func (p *Placer) placeSingleNode(at sim.Time, td *spec.TaskDescription, prefer []int) *platform.Placement {
+// placeSingleNode claims one node for td into dst (a new placement when
+// dst is nil), or returns nil without touching dst.
+func (p *Placer) placeSingleNode(at sim.Time, td *spec.TaskDescription, prefer []int, dst *platform.Placement) *platform.Placement {
 	p.stats.Attempts++
 	cores := td.TotalCores()
 	gpus := td.TotalGPUs()
@@ -563,16 +581,9 @@ func (p *Placer) placeSingleNode(at sim.Time, td *spec.TaskDescription, prefer [
 	// Preference pass: claim the first hinted node that fits, leaving the
 	// ring cursor untouched so non-hinted traffic keeps its packing order.
 	for _, id := range prefer {
-		node := p.preferredNode(id, cores, gpus)
-		if node == nil {
-			continue
+		if node := p.preferredNode(id, cores, gpus); node != nil {
+			return p.claimSingle(at, dst, node.ID, cores, gpus)
 		}
-		pl := platform.NewSingleNodePlacement(node.ID, cores, gpus)
-		if err := p.part.Claim(at, pl); err != nil {
-			panic(fmt.Sprintf("launch: claim after fit check failed: %v", err))
-		}
-		p.stats.Placed++
-		return pl
 	}
 	n := len(p.part.Nodes)
 	maxCPU, maxGPU := 0, 0
@@ -580,16 +591,12 @@ func (p *Placer) placeSingleNode(at sim.Time, td *spec.TaskDescription, prefer [
 		node := p.part.Nodes[(p.cursor+i)%n]
 		if node.FreeCPU() >= cores && node.FreeGPU() >= gpus {
 			p.cursor = (p.cursor + i) % n
-			pl := platform.NewSingleNodePlacement(node.ID, cores, gpus)
-			if err := p.part.Claim(at, pl); err != nil {
-				panic(fmt.Sprintf("launch: claim after fit check failed: %v", err))
-			}
+			pl := p.claimSingle(at, dst, node.ID, cores, gpus)
 			// Advance past a filled node so the next search does
 			// not rescan it first.
 			if node.FreeCPU() == 0 {
 				p.cursor = (p.cursor + 1) % n
 			}
-			p.stats.Placed++
 			return pl
 		}
 		if f := node.FreeCPU(); f > maxCPU {
@@ -625,7 +632,10 @@ func perNodeFootprint(td *spec.TaskDescription) (cores, gpus int) {
 	return ranksPerNode * cpr, ranksPerNode * td.GPUsPerRank
 }
 
-func (p *Placer) placeMultiNode(at sim.Time, td *spec.TaskDescription, prefer []int) *platform.Placement {
+// placeMultiNode claims td's nodes into dst (a new placement when dst is
+// nil), or returns nil without touching dst. The claimed placement's three
+// slices share one backing array.
+func (p *Placer) placeMultiNode(at sim.Time, td *spec.TaskDescription, prefer []int, dst *platform.Placement) *platform.Placement {
 	p.stats.Attempts++
 	want := td.Nodes
 	spec := p.part.Cluster.Spec
@@ -668,12 +678,14 @@ func (p *Placer) placeMultiNode(at sim.Time, td *spec.TaskDescription, prefer []
 		p.stats.ScanFailures++
 		return nil
 	}
-	slots := make([]int, 3*want)
-	pl := &platform.Placement{
-		NodeIDs:  slots[:want:want],
-		CPUSlots: slots[want : 2*want : 2*want],
-		GPUSlots: slots[2*want:],
+	pl := dst
+	if pl == nil {
+		pl = &platform.Placement{}
 	}
+	slots := make([]int, 3*want)
+	pl.NodeIDs = slots[:want:want]
+	pl.CPUSlots = slots[want : 2*want : 2*want]
+	pl.GPUSlots = slots[2*want:]
 	copy(pl.NodeIDs, ids)
 	for i := range want {
 		pl.CPUSlots[i] = coresPerNode

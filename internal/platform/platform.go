@@ -302,11 +302,11 @@ func (a *Allocation) Slice(start, n int) *Allocation {
 
 // Placement is a concrete resource assignment for one task.
 //
-// Single-node placements — the overwhelmingly common case — should be
-// built with NewSingleNodePlacement, which backs the three slices with
-// inline storage so the whole placement is one allocation. Placement is
-// always handled by pointer; copying a value would leave the slices
-// aliased to the original's inline arrays.
+// Single-node placements — the overwhelmingly common case — back the three
+// slices with inline storage (NewSingleNodePlacement, or SetSingleNode on a
+// placement embedded in a longer-lived record), so a placement costs at
+// most one allocation. Placement is always handled by pointer; copying a
+// value would leave the slices aliased to the original's inline arrays.
 type Placement struct {
 	// NodeIDs lists the nodes involved.
 	NodeIDs []int
@@ -323,11 +323,16 @@ type Placement struct {
 // storage (a single heap allocation).
 func NewSingleNodePlacement(nodeID, cores, gpus int) *Placement {
 	p := &Placement{}
+	p.SetSingleNode(nodeID, cores, gpus)
+	return p
+}
+
+// SetSingleNode makes p a one-node placement backed by its inline storage.
+func (p *Placement) SetSingleNode(nodeID, cores, gpus int) {
 	p.idArr[0], p.cpuArr[0], p.gpuArr[0] = nodeID, cores, gpus
 	p.NodeIDs = p.idArr[:]
 	p.CPUSlots = p.cpuArr[:]
 	p.GPUSlots = p.gpuArr[:]
-	return p
 }
 
 // Includes reports whether the placement claims slots on the node.

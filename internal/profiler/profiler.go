@@ -109,9 +109,9 @@ func (e CausalEdge) Wait() sim.Duration { return e.To.Sub(e.From) }
 
 // addEdge appends an edge to a lazily-allocated slice. Most records carry a
 // handful of edges, so the first append reserves a small capacity to keep
-// the steady-state cost at one allocation per record. Retained task traces
-// do even better: the profiler pre-slices their Edges out of a chunked
-// arena (see Profiler.Task), so appends up to edgeCap are allocation-free.
+// the steady-state cost at one allocation per record. Task traces do even
+// better: the profiler pre-slices their Edges out of a chunked arena (see
+// Profiler.NewTask), so appends up to edgeCap are allocation-free.
 func addEdge(edges []CausalEdge, e CausalEdge) []CausalEdge {
 	if edges == nil {
 		edges = make([]CausalEdge, 0, 4)
@@ -180,9 +180,17 @@ func (t *TaskTrace) AddEdge(e CausalEdge) { t.Edges = addEdge(t.Edges, e) }
 
 const unset = sim.Time(-1)
 
-// NewTaskTrace returns a trace with all timestamps unset.
+// NewTaskTrace returns a standalone trace with all timestamps unset.
+// Sessions take theirs from Profiler.NewTask instead.
 func NewTaskTrace(uid string) *TaskTrace {
-	return &TaskTrace{
+	t := &TaskTrace{}
+	t.reset(uid)
+	return t
+}
+
+// reset makes t a fresh trace for uid with all timestamps unset.
+func (t *TaskTrace) reset(uid string) {
+	*t = TaskTrace{
 		UID:       uid,
 		Submit:    unset,
 		Scheduled: unset,
@@ -282,7 +290,8 @@ type TraceSink interface {
 
 // TraceRetainer is an optional TraceSink capability. A sink that reports
 // RetainTraces()=false switches the profiler to streaming mode: records are
-// handed to the sink and dropped, so trace memory stays O(1) in task count.
+// handed to the sink and dropped, so trace memory tracks the tasks in
+// flight, not the task count.
 // Sinks without the capability retain (the safe default).
 type TraceRetainer interface {
 	RetainTraces() bool
@@ -298,14 +307,18 @@ type Event struct {
 
 // Profiler collects traces and events for one session.
 type Profiler struct {
-	traces map[string]*TaskTrace
-	order  []*TaskTrace
+	// order holds the retained traces in submission order (empty in
+	// streaming mode).
+	order []*TaskTrace
 	// arena chunks TaskTrace storage so tracing n tasks costs n/chunk
 	// allocations instead of n (the largest campaigns trace >200k tasks).
+	// Streaming mode uses it too: the profiler keeps no reference to a
+	// handed-out trace, so a chunk becomes garbage once the last of its
+	// tasks is unreferenced, and live chunks track the tasks in flight.
 	arena []TaskTrace
 	// edgeArena chunks the Edges backing storage the same way: every
-	// retained trace starts with an edgeCap-capacity slice carved from a
-	// shared chunk, so causal emitters append without allocating.
+	// trace starts with an edgeCap-capacity slice carved from a shared
+	// chunk, so causal emitters append without allocating.
 	edgeArena []CausalEdge
 
 	// sink observes completed records; retain controls whether the
@@ -330,7 +343,7 @@ type Profiler struct {
 
 // New returns an empty profiler.
 func New() *Profiler {
-	return &Profiler{traces: make(map[string]*TaskTrace), retain: true}
+	return &Profiler{retain: true}
 }
 
 // SetSink routes completed records through s (nil restores the default
@@ -361,47 +374,33 @@ func (p *Profiler) Flush() error {
 	return nil
 }
 
-// Task returns (creating if needed) the compact trace for uid.
-func (p *Profiler) Task(uid string) *TaskTrace {
-	if t, ok := p.traces[uid]; ok {
-		return t
-	}
+// arenaChunk is the number of traces per arena chunk.
+const arenaChunk = 512
+
+// NewTask returns a fresh compact trace for one submitted task. Every call
+// creates a trace, so two submissions that share a UID keep separate
+// records; the caller holds the handle for the task's lifetime.
+func (p *Profiler) NewTask(uid string) *TaskTrace {
 	p.nTasks++
-	if !p.retain {
-		// Streaming mode: the trace lives only until TaskFinal hands it
-		// to the sink. No arena (its chunks would pin memory), no order.
-		t := NewTaskTrace(uid)
-		p.traces[uid] = t
-		return t
-	}
 	if len(p.arena) == 0 {
-		p.arena = make([]TaskTrace, 512)
+		p.arena = make([]TaskTrace, arenaChunk)
 	}
 	t := &p.arena[0]
 	p.arena = p.arena[1:]
-	*t = TaskTrace{
-		UID:       uid,
-		Submit:    unset,
-		Scheduled: unset,
-		Launch:    unset,
-		Start:     unset,
-		End:       unset,
-		Final:     unset,
-	}
+	t.reset(uid)
 	if len(p.edgeArena) < edgeCap {
-		p.edgeArena = make([]CausalEdge, 512*edgeCap)
+		p.edgeArena = make([]CausalEdge, arenaChunk*edgeCap)
 	}
 	t.Edges = p.edgeArena[:0:edgeCap]
 	p.edgeArena = p.edgeArena[edgeCap:]
-	p.traces[uid] = t
-	p.order = append(p.order, t)
+	if p.retain {
+		p.order = append(p.order, t)
+	}
 	return t
 }
 
 // TaskFinal notifies the profiler that a task's trace reached its terminal
-// state: the sink observes the completed record, and in streaming mode the
-// profiler then drops its own reference so trace memory stays bounded.
-// (Callers may keep using the pointer; only the index entry is released.)
+// state: the sink observes the completed record.
 func (p *Profiler) TaskFinal(t *TaskTrace) {
 	if p.sink != nil {
 		var t0 time.Time
@@ -412,20 +411,6 @@ func (p *Profiler) TaskFinal(t *TaskTrace) {
 		if p.Phase != nil {
 			p.Phase(sim.PhaseSinkFold, time.Since(t0).Nanoseconds())
 		}
-	}
-	if !p.retain {
-		delete(p.traces, t.UID)
-	}
-}
-
-// TaskRelease drops the profiler's index entry for uid without the final
-// notification. Sharded sessions need it: the client profiler registers
-// every trace (so merged output keeps submission order) but TaskFinal fires
-// on the owning pilot's domain profiler, so in streaming mode the client's
-// map entry would otherwise leak. No-op in retain mode.
-func (p *Profiler) TaskRelease(uid string) {
-	if !p.retain {
-		delete(p.traces, uid)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 func TestTaskTraceLifecycle(t *testing.T) {
 	p := New()
-	tr := p.Task("t1")
+	tr := p.NewTask("t1")
 	if tr.Submit >= 0 || tr.Start >= 0 {
 		t.Fatal("fresh trace must have unset timestamps")
 	}
@@ -20,12 +20,13 @@ func TestTaskTraceLifecycle(t *testing.T) {
 	if !tr.Ran() {
 		t.Fatal("trace with start+end ran")
 	}
-	// Task() is idempotent per UID.
-	if p.Task("t1") != tr {
-		t.Fatal("Task should return the same trace")
+	// Every NewTask call is its own record, even for a repeated UID.
+	again := p.NewTask("t1")
+	if again == tr || again.Ran() {
+		t.Fatal("NewTask must return a fresh trace for a repeated UID")
 	}
-	if p.NumTasks() != 1 {
-		t.Fatalf("NumTasks = %d", p.NumTasks())
+	if p.NumTasks() != 2 || len(p.Tasks()) != 2 {
+		t.Fatalf("NumTasks = %d, Tasks = %d, want 2 and 2", p.NumTasks(), len(p.Tasks()))
 	}
 }
 
@@ -51,7 +52,7 @@ func TestTasksPreserveSubmissionOrder(t *testing.T) {
 	p := New()
 	uids := []string{"c", "a", "b"}
 	for _, u := range uids {
-		p.Task(u)
+		p.NewTask(u)
 	}
 	for i, tr := range p.Tasks() {
 		if tr.UID != uids[i] {

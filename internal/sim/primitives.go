@@ -70,8 +70,9 @@ type Semaphore struct {
 }
 
 type semWaiter struct {
-	n  int
-	fn func()
+	n   int
+	fn  func(any)
+	arg any
 }
 
 // NewSemaphore returns a semaphore with the given capacity.
@@ -93,13 +94,24 @@ func (s *Semaphore) InUse() int { return s.inUse }
 // head of the queue blocks later small ones, matching how Slurm serializes
 // step creation.
 func (s *Semaphore) Acquire(n int, fn func()) {
+	s.AcquireCall(n, callFunc, fn)
+}
+
+// callFunc runs a func() carried as an event argument (a func value is
+// pointer-shaped, so boxing it allocates nothing).
+func callFunc(arg any) { arg.(func())() }
+
+// AcquireCall is Acquire for hot paths: once the units are granted it
+// invokes fn(arg) through the engine's pooled arg-carrying event, so a
+// caller with a prebound fn pays no closure allocation per acquisition.
+func (s *Semaphore) AcquireCall(n int, fn func(any), arg any) {
 	if n <= 0 {
 		panic("sim: Acquire of non-positive units")
 	}
 	if n > s.capacity {
 		panic("sim: Acquire exceeds semaphore capacity")
 	}
-	s.waiters = append(s.waiters, semWaiter{n: n, fn: fn})
+	s.waiters = append(s.waiters, semWaiter{n: n, fn: fn, arg: arg})
 	s.dispatch()
 }
 
@@ -144,7 +156,7 @@ func (s *Semaphore) dispatch() {
 		}
 		// Run the continuation through the engine so grant ordering is
 		// part of the deterministic event sequence.
-		s.eng.Immediately(w.fn)
+		s.eng.ImmediatelyCall(w.fn, w.arg)
 	}
 }
 
@@ -255,7 +267,6 @@ type Server[T any] struct {
 
 type serverItem[T any] struct {
 	item T
-	fn   func(T) // optional per-item completion override
 	d    Duration
 }
 
@@ -287,16 +298,10 @@ func (s *Server[T]) Busy() int { return s.busy }
 // BusyTotal returns accumulated busy server-time.
 func (s *Server[T]) BusyTotal() Duration { return s.busyTotal }
 
-// Submit enqueues an item for service using the server's completion
-// callback.
+// Submit enqueues an item for service; the server's completion callback
+// receives it when its service ends.
 func (s *Server[T]) Submit(item T) {
-	s.SubmitFunc(item, nil)
-}
-
-// SubmitFunc enqueues an item with a per-item completion callback that
-// overrides the server-wide one when non-nil.
-func (s *Server[T]) SubmitFunc(item T, fn func(T)) {
-	s.queue = append(s.queue, serverItem[T]{item: item, fn: fn})
+	s.queue = append(s.queue, serverItem[T]{item: item})
 	s.pump()
 }
 
@@ -350,9 +355,7 @@ func (s *Server[T]) finish(arg any) {
 	s.slotBusy[slot] = false
 	s.busy--
 	s.busyTotal += it.d
-	if it.fn != nil {
-		it.fn(it.item)
-	} else if s.complete != nil {
+	if s.complete != nil {
 		s.complete(it.item)
 	}
 	s.pump()

@@ -203,24 +203,6 @@ func TestServerParallelism(t *testing.T) {
 	}
 }
 
-func TestServerPerItemCallback(t *testing.T) {
-	e := NewEngine()
-	srv := NewServer(e, 1, func(int) Duration { return Second }, func(int) {
-		t.Fatal("server-wide callback must not fire when per-item is set")
-	})
-	fired := false
-	srv.SubmitFunc(7, func(v int) {
-		if v != 7 {
-			t.Errorf("got %d", v)
-		}
-		fired = true
-	})
-	e.Run()
-	if !fired {
-		t.Fatal("per-item callback never fired")
-	}
-}
-
 func TestServerRateApproximation(t *testing.T) {
 	// A single server with 10 ms service must process ~100 items/s.
 	e := NewEngine()

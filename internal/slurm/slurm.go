@@ -32,13 +32,17 @@ type Controller struct {
 	params  model.SrunParams
 	ceiling *sim.Semaphore
 	// registrar serializes step creation through the central daemon.
-	registrar *sim.Server[*stepReq]
+	registrar *sim.Server[stepReq]
 	rand      *rng.Stream
 }
 
+// stepReq is one step registration, queued by value: fn(arg) runs once
+// the registrar has served it.
 type stepReq struct {
 	allocNodes int
 	stepNodes  int
+	fn         func(any)
+	arg        any
 }
 
 // NewController returns a controller with the given parameters.
@@ -49,14 +53,14 @@ func NewController(eng *sim.Engine, params model.SrunParams, src *rng.Source) *C
 		ceiling: sim.NewSemaphore(eng, params.Ceiling),
 		rand:    src.Stream("slurm.controller"),
 	}
-	c.registrar = sim.NewServer(eng, 1, c.serviceTime, nil)
+	c.registrar = sim.NewServer(eng, 1, c.serviceTime, c.registered)
 	return c
 }
 
 // Params returns the controller's parameter set.
 func (c *Controller) Params() model.SrunParams { return c.params }
 
-func (c *Controller) serviceTime(r *stepReq) sim.Duration {
+func (c *Controller) serviceTime(r stepReq) sim.Duration {
 	mu := c.params.Mu(r.allocNodes)
 	// Exponential service around the mean registration time models the
 	// controller's RPC and bookkeeping variability; multi-node MPI steps
@@ -75,27 +79,30 @@ func (c *Controller) Ceiling() *sim.Semaphore { return c.ceiling }
 // exec, receiving a release function the caller must invoke exactly once
 // when the srun exits.
 func (c *Controller) StartStep(allocNodes, stepNodes int, started func(release func())) {
-	c.step(allocNodes, stepNodes, func() {
-		released := false
-		started(func() {
-			if released {
-				panic("slurm: step released twice")
-			}
-			released = true
-			c.endStep()
-		})
+	c.ceiling.Acquire(1, func() {
+		c.register(allocNodes, stepNodes, func(any) {
+			released := false
+			started(func() {
+				if released {
+					panic("slurm: step released twice")
+				}
+				released = true
+				c.endStep()
+			})
+		}, nil)
 	})
 }
 
-// step is StartStep without the release closure, for task launches: the
-// launcher chassis ends each started job exactly once, through endStep.
-func (c *Controller) step(allocNodes, stepNodes int, started func()) {
-	c.ceiling.Acquire(1, func() {
-		c.registrar.SubmitFunc(&stepReq{allocNodes: allocNodes, stepNodes: stepNodes}, func(*stepReq) {
-			started()
-		})
-	})
+// register queues a step with the registrar, the second half of a step
+// start after its ceiling slot was granted; fn(arg) runs once the step is
+// registered. Task launches call it through prebound callbacks
+// (SrunLauncher.acquired), so a task's step costs no allocation.
+func (c *Controller) register(allocNodes, stepNodes int, fn func(any), arg any) {
+	c.registrar.Submit(stepReq{allocNodes: allocNodes, stepNodes: stepNodes, fn: fn, arg: arg})
 }
+
+// registered runs a served step's continuation.
+func (c *Controller) registered(r stepReq) { r.fn(r.arg) }
 
 // endStep frees the ceiling slot of an exited srun.
 func (c *Controller) endStep() { c.ceiling.Release(1) }
@@ -112,6 +119,10 @@ type SrunLauncher struct {
 	rand *rng.Stream
 	// rateMult is the per-run variability multiplier on prolog latency.
 	rateMult float64
+	// acquiredFn and registeredFn are the prebound step stages, carrying
+	// the *launch.Job as their event argument.
+	acquiredFn   func(any)
+	registeredFn func(any)
 }
 
 // NewSrunLauncher returns a launcher over the partition.
@@ -127,6 +138,8 @@ func NewSrunLauncher(name string, eng *sim.Engine, ctrl *Controller, part *platf
 		Exit:    ctrl.endStep,
 	}, eng, part, util)
 	s.rateMult = s.rand.LogNormal(1, ctrl.params.RunSigma)
+	s.acquiredFn = s.acquired
+	s.registeredFn = s.registered
 	return s
 }
 
@@ -143,24 +156,35 @@ func (s *SrunLauncher) pump() {
 // launch acquires a ceiling slot and registers the step; the process
 // starts once srun's prolog finished, and the slot frees when it exits.
 func (s *SrunLauncher) launch(j *launch.Job) {
+	j.StepAt = s.Eng.Now()
+	s.ctrl.ceiling.AcquireCall(1, s.acquiredFn, j)
+}
+
+// acquired runs once the job holds a ceiling slot: register its step.
+func (s *SrunLauncher) acquired(arg any) {
+	j := arg.(*launch.Job)
 	stepNodes := j.Req.TD.Nodes
 	if stepNodes < 1 {
 		stepNodes = 1
 	}
-	queuedAt := s.Eng.Now()
-	s.ctrl.step(s.Nodes(), stepNodes, func() {
-		// The wait for a ceiling slot (and the controller's serial step
-		// registrar) is queueing behind a system-wide throttle, not
-		// placement: Fig 4's utilization cap shows up here.
-		if tr := j.Req.Trace; tr != nil {
-			if now := s.Eng.Now(); now > queuedAt {
-				tr.AddEdge(profiler.CausalEdge{
-					Kind: profiler.EdgeQueued, From: queuedAt, To: now, Ref: "srun.ceiling",
-				})
-			}
+	s.ctrl.register(s.Nodes(), stepNodes, s.registeredFn, j)
+}
+
+// registered runs once the job's step is registered: srun's prolog runs,
+// then the process starts.
+func (s *SrunLauncher) registered(arg any) {
+	j := arg.(*launch.Job)
+	// The wait for a ceiling slot (and the controller's serial step
+	// registrar) is queueing behind a system-wide throttle, not
+	// placement: Fig 4's utilization cap shows up here.
+	if tr := j.Req.Trace; tr != nil {
+		if now := s.Eng.Now(); now > j.StepAt {
+			tr.AddEdge(profiler.CausalEdge{
+				Kind: profiler.EdgeQueued, From: j.StepAt, To: now, Ref: "srun.ceiling",
+			})
 		}
-		prolog := s.ctrl.params.PrologMedian / s.rateMult
-		d := sim.Seconds(s.rand.LogNormal(prolog, s.ctrl.params.PrologSigma))
-		s.Eng.AfterCall(d, s.StartFn(), j)
-	})
+	}
+	prolog := s.ctrl.params.PrologMedian / s.rateMult
+	d := sim.Seconds(s.rand.LogNormal(prolog, s.ctrl.params.PrologSigma))
+	s.Eng.AfterCall(d, s.StartFn(), j)
 }

@@ -7,7 +7,10 @@
 // analysis uses.
 package states
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // TaskState is a state in the task lifecycle.
 type TaskState int
@@ -28,7 +31,7 @@ const (
 	TaskCanceled
 )
 
-var taskStateNames = map[TaskState]string{
+var taskStateNames = [...]string{
 	TaskNew:             "NEW",
 	TaskTMGRSchedule:    "TMGR_SCHEDULING",
 	TaskAgentStagingIn:  "AGENT_STAGING_INPUT",
@@ -42,8 +45,8 @@ var taskStateNames = map[TaskState]string{
 }
 
 func (s TaskState) String() string {
-	if n, ok := taskStateNames[s]; ok {
-		return n
+	if s >= 0 && int(s) < len(taskStateNames) {
+		return taskStateNames[s]
 	}
 	return fmt.Sprintf("TaskState(%d)", int(s))
 }
@@ -53,8 +56,9 @@ func (s TaskState) Final() bool {
 	return s == TaskDone || s == TaskFailed || s == TaskCanceled
 }
 
-// taskTransitions lists the legal forward edges of the task state machine.
-var taskTransitions = map[TaskState][]TaskState{
+// taskTransitions lists the legal forward edges of the task state machine,
+// indexed by the source state; final states have none.
+var taskTransitions = [...][]TaskState{
 	TaskNew:             {TaskTMGRSchedule, TaskFailed, TaskCanceled},
 	TaskTMGRSchedule:    {TaskAgentStagingIn, TaskFailed, TaskCanceled},
 	TaskAgentStagingIn:  {TaskAgentSchedule, TaskFailed, TaskCanceled},
@@ -66,12 +70,7 @@ var taskTransitions = map[TaskState][]TaskState{
 
 // CanTransition reports whether from → to is a legal task transition.
 func CanTransition(from, to TaskState) bool {
-	for _, t := range taskTransitions[from] {
-		if t == to {
-			return true
-		}
-	}
-	return false
+	return from >= 0 && int(from) < len(taskTransitions) && slices.Contains(taskTransitions[from], to)
 }
 
 // Validate panics when from → to is illegal; components call it on every
@@ -95,7 +94,7 @@ const (
 	PilotCanceled
 )
 
-var pilotStateNames = map[PilotState]string{
+var pilotStateNames = [...]string{
 	PilotNew:       "NEW",
 	PilotLaunching: "PMGR_ACTIVE_PENDING",
 	PilotActive:    "PMGR_ACTIVE",
@@ -105,8 +104,8 @@ var pilotStateNames = map[PilotState]string{
 }
 
 func (s PilotState) String() string {
-	if n, ok := pilotStateNames[s]; ok {
-		return n
+	if s >= 0 && int(s) < len(pilotStateNames) {
+		return pilotStateNames[s]
 	}
 	return fmt.Sprintf("PilotState(%d)", int(s))
 }
@@ -116,7 +115,7 @@ func (s PilotState) Final() bool {
 	return s == PilotDone || s == PilotFailed || s == PilotCanceled
 }
 
-var pilotTransitions = map[PilotState][]PilotState{
+var pilotTransitions = [...][]PilotState{
 	PilotNew:       {PilotLaunching, PilotFailed, PilotCanceled},
 	PilotLaunching: {PilotActive, PilotFailed, PilotCanceled},
 	PilotActive:    {PilotDone, PilotFailed, PilotCanceled},
@@ -124,12 +123,7 @@ var pilotTransitions = map[PilotState][]PilotState{
 
 // CanTransitionPilot reports whether from → to is a legal pilot transition.
 func CanTransitionPilot(from, to PilotState) bool {
-	for _, t := range pilotTransitions[from] {
-		if t == to {
-			return true
-		}
-	}
-	return false
+	return from >= 0 && int(from) < len(pilotTransitions) && slices.Contains(pilotTransitions[from], to)
 }
 
 // ValidatePilot panics when from → to is illegal.
