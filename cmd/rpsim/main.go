@@ -54,7 +54,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a JSONL trace spill, shard records included (impeccable_*)")
 	flag.Parse()
 
-	if err := checkSizes(*nodes, *pilots, *reps, *instances); err != nil {
+	if err := checkSizes(*exp, *nodes, *pilots, *reps, *instances); err != nil {
 		fmt.Fprintf(os.Stderr, "rpsim: %v\n", err)
 		os.Exit(2)
 	}
@@ -131,8 +131,10 @@ func main() {
 	}
 }
 
-// checkSizes rejects run sizes no experiment can run.
-func checkSizes(nodes, pilots, reps, instances int) error {
+// checkSizes rejects run sizes exp cannot run. -instances is checked only
+// for the experiments that read it.
+func checkSizes(exp string, nodes, pilots, reps, instances int) error {
+	usesInstances := exp == "flux_n" || exp == "flux_dragon"
 	switch {
 	case nodes < 1:
 		return errors.New("-nodes must be at least 1")
@@ -142,9 +144,9 @@ func checkSizes(nodes, pilots, reps, instances int) error {
 		return fmt.Errorf("-nodes %d cannot be split over -pilots %d", nodes, pilots)
 	case reps < 1:
 		return errors.New("-reps must be at least 1")
-	case instances < 1:
+	case usesInstances && instances < 1:
 		return errors.New("-instances must be at least 1")
-	case nodes < instances:
+	case usesInstances && nodes < instances:
 		return fmt.Errorf("-nodes %d cannot host -instances %d", nodes, instances)
 	}
 	return nil

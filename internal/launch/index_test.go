@@ -132,7 +132,7 @@ func TestOpenIndexMatchesReference(t *testing.T) {
 					}
 					cores, g := perNodeFootprint(td)
 					ref := firstFitRef(part, want, cores, g, prefer)
-					pl := p.placeMultiNode(0, td, prefer, nil)
+					pl := p.placeMultiNode(0, td, prefer, new(platform.Placement))
 					if pl == nil {
 						if ref != nil {
 							t.Fatalf("step %d part %d: placer found nothing, reference picked %v", step, k, ref)

@@ -395,11 +395,12 @@ func (p *Placer) Place(at sim.Time, td *spec.TaskDescription) *platform.Placemen
 	if p.Phase != nil {
 		t0 = time.Now()
 	}
+	dst := new(platform.Placement)
 	var pl *platform.Placement
 	if td.MultiNode() {
-		pl = p.placeMultiNode(at, td, nil, nil)
+		pl = p.placeMultiNode(at, td, nil, dst)
 	} else {
-		pl = p.placeSingleNode(at, td, nil, nil)
+		pl = p.placeSingleNode(at, td, nil, dst)
 	}
 	if p.Phase != nil {
 		p.Phase(sim.PhasePlacement, time.Since(t0).Nanoseconds())
@@ -540,14 +541,9 @@ func (p *Placer) placePreferredOnly(at sim.Time, r *Request, prefer []int) *plat
 	return nil
 }
 
-// claimSingle claims cores and gpus on one node into dst, or into a new
-// placement when dst is nil.
+// claimSingle claims cores and gpus on one node into dst.
 func (p *Placer) claimSingle(at sim.Time, dst *platform.Placement, node, cores, gpus int) *platform.Placement {
-	if dst == nil {
-		dst = platform.NewSingleNodePlacement(node, cores, gpus)
-	} else {
-		dst.SetSingleNode(node, cores, gpus)
-	}
+	dst.SetSingleNode(node, cores, gpus)
 	if err := p.part.Claim(at, dst); err != nil {
 		panic(fmt.Sprintf("launch: claim after fit check failed: %v", err))
 	}
@@ -569,8 +565,8 @@ func (p *Placer) preferredNode(id, cores, gpus int) *platform.Node {
 	return nil
 }
 
-// placeSingleNode claims one node for td into dst (a new placement when
-// dst is nil), or returns nil without touching dst.
+// placeSingleNode claims one node for td into dst, or returns nil without
+// touching dst.
 func (p *Placer) placeSingleNode(at sim.Time, td *spec.TaskDescription, prefer []int, dst *platform.Placement) *platform.Placement {
 	p.stats.Attempts++
 	cores := td.TotalCores()
@@ -632,9 +628,9 @@ func perNodeFootprint(td *spec.TaskDescription) (cores, gpus int) {
 	return ranksPerNode * cpr, ranksPerNode * td.GPUsPerRank
 }
 
-// placeMultiNode claims td's nodes into dst (a new placement when dst is
-// nil), or returns nil without touching dst. The claimed placement's three
-// slices share one backing array.
+// placeMultiNode claims td's nodes into dst, or returns nil without
+// touching dst. The claimed placement's three slices share one backing
+// array.
 func (p *Placer) placeMultiNode(at sim.Time, td *spec.TaskDescription, prefer []int, dst *platform.Placement) *platform.Placement {
 	p.stats.Attempts++
 	want := td.Nodes
@@ -678,24 +674,20 @@ func (p *Placer) placeMultiNode(at sim.Time, td *spec.TaskDescription, prefer []
 		p.stats.ScanFailures++
 		return nil
 	}
-	pl := dst
-	if pl == nil {
-		pl = &platform.Placement{}
-	}
 	slots := make([]int, 3*want)
-	pl.NodeIDs = slots[:want:want]
-	pl.CPUSlots = slots[want : 2*want : 2*want]
-	pl.GPUSlots = slots[2*want:]
-	copy(pl.NodeIDs, ids)
+	dst.NodeIDs = slots[:want:want]
+	dst.CPUSlots = slots[want : 2*want : 2*want]
+	dst.GPUSlots = slots[2*want:]
+	copy(dst.NodeIDs, ids)
 	for i := range want {
-		pl.CPUSlots[i] = coresPerNode
-		pl.GPUSlots[i] = gpusPerNode
+		dst.CPUSlots[i] = coresPerNode
+		dst.GPUSlots[i] = gpusPerNode
 	}
-	if err := p.part.Claim(at, pl); err != nil {
+	if err := p.part.Claim(at, dst); err != nil {
 		panic(fmt.Sprintf("launch: multi-node claim after fit check failed: %v", err))
 	}
 	p.stats.Placed++
-	return pl
+	return dst
 }
 
 // Fits reports whether the task could ever fit on the partition when it is

@@ -314,7 +314,9 @@ type Profiler struct {
 	// allocations instead of n (the largest campaigns trace >200k tasks).
 	// Streaming mode uses it too: the profiler keeps no reference to a
 	// handed-out trace, so a chunk becomes garbage once the last of its
-	// tasks is unreferenced, and live chunks track the tasks in flight.
+	// tasks is unreferenced. Live memory is bounded by the chunks the
+	// in-flight tasks are spread over, each holding up to arenaChunk
+	// traces: one long-running task keeps its whole chunk alive.
 	arena []TaskTrace
 	// edgeArena chunks the Edges backing storage the same way: every
 	// trace starts with an edgeCap-capacity slice carved from a shared
