@@ -364,7 +364,7 @@ func BenchmarkDataFlowChurn(b *testing.B) {
 	eng := sim.NewEngine()
 	alloc := platform.NewCluster(platform.Frontier(1), nodes).Allocate(nodes)
 	sys := data.NewSystem(eng, alloc, model.Default().Data, nil, nil)
-	done := func() {}
+	done := func(any) {}
 	issue := make([]func(), writes)
 	for i := range issue {
 		ds := "ckpt." + itoa(i%nodes)
@@ -374,7 +374,7 @@ func BenchmarkDataFlowChurn(b *testing.B) {
 			dest = spec.TierNodeLocal
 		}
 		node := (i * 5) % nodes
-		issue[i] = func() { sys.WriteFromNode("t", ds, bytes, node, dest, done) }
+		issue[i] = func() { sys.WriteFromNode("t", ds, bytes, node, dest, done, nil) }
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

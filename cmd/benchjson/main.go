@@ -6,7 +6,7 @@
 //
 //	go test -bench . -benchtime 1x -benchmem -run '^$' . | go run ./cmd/benchjson -out BENCH.json
 //	go run ./cmd/benchjson run [-bench REGEX] [-benchtime 1x] [-cpu LIST] [-out BENCH.json] [PKG]
-//	go run ./cmd/benchjson diff [-max-regress 15] [-gate Name1,Name2] OLD.json NEW.json
+//	go run ./cmd/benchjson diff [-max-regress 15] [-allocs-only] [-gate Name1,Name2] OLD.json NEW.json
 //
 // The run subcommand invokes `go test -bench` itself and archives the
 // parsed output, capturing the per-benchmark -cpu/GOMAXPROCS suffix that
@@ -16,7 +16,10 @@
 // The diff subcommand prints per-benchmark % deltas of ns/op and
 // allocs/op (negative = improvement). With -gate it exits non-zero when
 // any gated benchmark regressed by more than -max-regress percent on
-// either metric — the CI performance ratchet. Gate failures print each
+// either metric — the CI performance ratchet. With -allocs-only the table
+// and the gate use allocs/op and B/op instead: neither depends on the
+// host's speed, so that gate means the same on any runner. Gate failures
+// print each
 // side's cpu count and shard count (the `shards` metric, when reported)
 // so cross-environment noise is recognizable at a glance. When both
 // archives report sharded-engine telemetry (windows, barrier_stall_ms,
@@ -192,8 +195,42 @@ func runMain(args []string) {
 	writeReport(report, *out)
 }
 
-// diffMetrics are the metrics the diff table and the gate look at.
-var diffMetrics = []string{"ns/op", "allocs/op"}
+// diffMetrics are the metrics the diff table and the gate look at;
+// allocMetrics replace them under -allocs-only.
+var (
+	diffMetrics  = []string{"ns/op", "allocs/op"}
+	allocMetrics = []string{"allocs/op", "B/op"}
+)
+
+// metricLabel is a metric's column label in the diff table.
+var metricLabel = map[string]string{"ns/op": "ns/op", "allocs/op": "allocs", "B/op": "B"}
+
+// diffRow renders one benchmark pair's deltas over metrics and reports
+// whether any delta exceeds maxRegress percent.
+func diffRow(ob, nb Benchmark, metrics []string, maxRegress float64) (string, bool) {
+	row := fmt.Sprintf("%-34s", nb.Name)
+	regressed := false
+	for i, m := range metrics {
+		ov, nv := ob.Metrics[m], nb.Metrics[m]
+		var delta float64
+		switch {
+		case ov > 0:
+			delta = (nv - ov) / ov * 100
+		case nv > 0:
+			// A zero baseline that grew is an unbounded regression
+			// (0 allocs/op → any allocs/op must trip the gate).
+			delta = math.Inf(1)
+		}
+		row += fmt.Sprintf(" %14.0f %14.0f %+8.1f%%", ov, nv, delta)
+		if i < len(metrics)-1 {
+			row += "  "
+		}
+		if delta > maxRegress {
+			regressed = true
+		}
+	}
+	return row, regressed
+}
 
 // shardMetrics are the sharded-engine telemetry metrics shown as an
 // informational sub-line when both archives carry them. They never gate:
@@ -231,12 +268,17 @@ func diffMain(args []string) {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	maxRegress := fs.Float64("max-regress", 15, "max allowed % regression on gated benchmarks")
 	gate := fs.String("gate", "", "comma-separated benchmark names to gate (empty = report only)")
+	allocsOnly := fs.Bool("allocs-only", false, "compare and gate allocs/op and B/op instead of ns/op and allocs/op")
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
 	if fs.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchjson diff [-max-regress PCT] [-gate Name1,Name2] OLD.json NEW.json")
+		fmt.Fprintln(os.Stderr, "usage: benchjson diff [-max-regress PCT] [-allocs-only] [-gate Name1,Name2] OLD.json NEW.json")
 		os.Exit(2)
+	}
+	metrics := diffMetrics
+	if *allocsOnly {
+		metrics = allocMetrics
 	}
 	old := loadReport(fs.Arg(0))
 	new_ := loadReport(fs.Arg(1))
@@ -260,8 +302,14 @@ func diffMain(args []string) {
 	}
 	sort.Strings(names)
 
-	fmt.Printf("%-34s %14s %14s %9s   %14s %14s %9s\n",
-		"benchmark", "ns/op old", "ns/op new", "Δ%", "allocs old", "allocs new", "Δ%")
+	header := fmt.Sprintf("%-34s", "benchmark")
+	for i, m := range metrics {
+		header += fmt.Sprintf(" %14s %14s %9s", metricLabel[m]+" old", metricLabel[m]+" new", "Δ%")
+		if i < len(metrics)-1 {
+			header += "  "
+		}
+	}
+	fmt.Println(header)
 	failed := []string{}
 	for _, name := range names {
 		nb := newBy[name]
@@ -274,27 +322,7 @@ func diffMain(args []string) {
 			}
 			continue
 		}
-		row := fmt.Sprintf("%-34s", name)
-		regressed := false
-		for _, m := range diffMetrics {
-			ov, nv := ob.Metrics[m], nb.Metrics[m]
-			var delta float64
-			switch {
-			case ov > 0:
-				delta = (nv - ov) / ov * 100
-			case nv > 0:
-				// A zero baseline that grew is an unbounded regression
-				// (0 allocs/op → any allocs/op must trip the gate).
-				delta = math.Inf(1)
-			}
-			row += fmt.Sprintf(" %14.0f %14.0f %+8.1f%%", ov, nv, delta)
-			if m == "ns/op" {
-				row += "  "
-			}
-			if gated[name] && delta > *maxRegress {
-				regressed = true
-			}
-		}
+		row, regressed := diffRow(ob, nb, metrics, *maxRegress)
 		marker := ""
 		if gated[name] {
 			marker = "  [gate]"

@@ -79,3 +79,26 @@ func TestParseLineRoundTripsShardMetrics(t *testing.T) {
 		t.Fatalf("metrics = %v", b.Metrics)
 	}
 }
+
+func TestDiffRowAllocsOnlyIgnoresHostTime(t *testing.T) {
+	old := bm("FailureSweepCell", map[string]float64{"ns/op": 100, "allocs/op": 1000, "B/op": 50000})
+	slower := bm("FailureSweepCell", map[string]float64{"ns/op": 300, "allocs/op": 1000, "B/op": 50000})
+	if _, regressed := diffRow(old, slower, allocMetrics, 15); regressed {
+		t.Fatal("a slower host with the same allocations must pass the allocation gate")
+	}
+	if _, regressed := diffRow(old, slower, diffMetrics, 15); !regressed {
+		t.Fatal("the default gate must still catch a 3x ns/op regression")
+	}
+	for _, grown := range []map[string]float64{
+		{"ns/op": 100, "allocs/op": 1200, "B/op": 50000},
+		{"ns/op": 100, "allocs/op": 1000, "B/op": 60000},
+	} {
+		row, regressed := diffRow(old, bm("FailureSweepCell", grown), allocMetrics, 15)
+		if !regressed {
+			t.Fatalf("20%% more allocs/op or B/op must fail the allocation gate: %s", row)
+		}
+	}
+	if _, regressed := diffRow(bm("X", map[string]float64{"B/op": 0}), bm("X", map[string]float64{"B/op": 8}), allocMetrics, 15); !regressed {
+		t.Fatal("a zero B/op baseline that grew is an unbounded regression")
+	}
+}

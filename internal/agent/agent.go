@@ -48,15 +48,13 @@ type Task struct {
 	body func(start sim.Time, done func())
 	// gen counts dispatch attempts. Agent-built bodies capture it so that
 	// after a mid-run crash and retry the orphaned old body stops instead
-	// of issuing phantom requests alongside the new attempt — and forward
-	// wraps every request's done with the same guard, so even a custom
-	// body's stale timers are inert after relocation.
+	// of issuing phantom requests alongside the new attempt — and every
+	// body runs under an attempt record guarded the same way, so even a
+	// custom body's stale timers are inert after relocation.
 	gen int
-	// ckptFrac is the fraction of the task's work persisted by its last
-	// completed checkpoint write; ckptSaved marks that a checkpoint image
-	// exists to restore from after relocation.
-	ckptFrac  float64
-	ckptSaved bool
+	// data is the staging and checkpoint state that outlives an attempt
+	// (nil for tasks that need none).
+	data *taskData
 	// serviceRegistered marks tasks counted in servicesPending (set by
 	// submitService); serviceStarted dedupes noteServiceStart across
 	// retries. Together they keep the pending accounting balanced: only
@@ -111,8 +109,19 @@ type Agent struct {
 
 	// notifyDoneFn is the prebound notifyDone, shared by every finish;
 	// scheduledFn the prebound scheduled, which releases parked tasks.
-	notifyDoneFn func(any)
-	scheduledFn  func(any)
+	// sharedStagedFn and sharedRodeFn complete a pre-placement transfer
+	// (the task's own, or one it rode), and sharedDoneFn ends that
+	// staging; each takes the task, and they are bound on the first
+	// staged task.
+	notifyDoneFn   func(any)
+	scheduledFn    func(any)
+	sharedStagedFn func(any)
+	sharedRodeFn   func(any)
+	sharedDoneFn   func(any)
+
+	// score and nodeBuf are preferNodes' scratch.
+	score   map[int]int64
+	nodeBuf []int
 
 	// retryStream seeds backoff jitter; it draws only when the failure-
 	// aware exponential backoff is configured with a jitter fraction, so
@@ -446,7 +455,8 @@ func (a *Agent) dispatch(g *executorGroup, t *Task) {
 // dispatchRec binds one backend dispatch attempt of a task. It embeds the
 // launch request and implements launch.Events, so a dispatch costs one
 // allocation in place of a request plus two callback closures — the
-// agent→backend hand-off is the hottest object on the task path.
+// agent→backend hand-off is the hottest object on the task path. A
+// dispatch with a process body uses an attempt record, which embeds one.
 type dispatchRec struct {
 	a   *Agent
 	g   *executorGroup
@@ -511,53 +521,31 @@ func (a *Agent) forward(g *executorGroup, t *Task) {
 	// straggler model is installed or the task checkpoints: exec time
 	// stretches with the slowest placed node, and checkpoint writes /
 	// restores ride the data subsystem.
-	faulty := body == nil && !t.TD.Service &&
+	staged := t.TD.HasStaging()
+	compute := body == nil && !t.TD.Service &&
 		(a.slowFactor != nil || t.TD.Checkpointed())
-	// placed receives the node IDs the backend claims (OnPlaced fires
-	// before the body starts); only bodies that read it allocate it.
-	var placed *[]int
-	var staged *stageRec
-	if t.TD.HasStaging() {
-		staged = &stageRec{a: a, td: t.TD}
-		placed = &staged.placed
-	} else if faulty {
-		placed = new([]int)
+	if body == nil && !staged && !compute {
+		rec := &dispatchRec{a: a, g: g, t: t, idx: idx}
+		rec.req = launch.Request{UID: t.TD.UID, TD: t.TD, Events: rec, Trace: t.Trace}
+		l.Submit(&rec.req)
+		return
 	}
-	if faulty {
-		body = a.computeBody(t, placed)
+	at := &attempt{
+		dispatchRec: dispatchRec{a: a, g: g, t: t, idx: idx},
+		gen:         t.gen,
+		staged:      staged,
+		compute:     compute,
+		inner:       body,
 	}
-	rec := &dispatchRec{a: a, g: g, t: t, idx: idx}
-	rec.req = launch.Request{
-		UID:    t.TD.UID,
-		TD:     t.TD,
-		Body:   body,
-		Events: rec,
-		Trace:  t.Trace,
-	}
-	if staged != nil {
+	at.req = launch.Request{UID: t.TD.UID, TD: t.TD, Events: at, Body: at, Trace: t.Trace}
+	if staged || compute {
 		// Late-bound: backends evaluate the preference at placement
 		// time, when the registry reflects every transfer completed (or
-		// started) while the task sat in the backend queue.
-		rec.req.Prefer = staged.prefer
-		rec.req.OnPlaced = staged.onPlaced
-		rec.req.Body = a.dataBody(t, body, placed)
-	} else if faulty {
-		rec.req.OnPlaced = func(at sim.Time, nodeIDs []int) { *placed = nodeIDs }
+		// started) while the task sat in the backend queue, and report
+		// the claimed nodes before the body starts.
+		at.req.Hooks = at
 	}
-	if b := rec.req.Body; b != nil {
-		// Generation-guard the completion: after a mid-run crash and
-		// relocation, a stale body's timers must stay inert — they may
-		// still fire, but can no longer complete the task.
-		gen := t.gen
-		rec.req.Body = func(start sim.Time, done func()) {
-			b(start, func() {
-				if t.gen == gen {
-					done()
-				}
-			})
-		}
-	}
-	l.Submit(&rec.req)
+	l.Submit(&at.req)
 }
 
 // pickLauncher returns the index of the least-loaded live instance whose

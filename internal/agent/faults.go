@@ -38,8 +38,10 @@ func (a *Agent) FailNode(node int, reason string) int {
 		}
 	}
 	a.dataSys.Registry().EvictNode(node)
-	a.prof.Log(a.eng.Now(), "agent", "node_down",
-		fmt.Sprintf("node=%d victims=%d %s", node, victims, reason))
+	if a.prof.RecordEvents {
+		a.prof.Log(a.eng.Now(), "agent", "node_down",
+			fmt.Sprintf("node=%d victims=%d %s", node, victims, reason))
+	}
 	return victims
 }
 
@@ -148,63 +150,30 @@ func (a *Agent) retryBackoff(attempt int) float64 {
 	return b
 }
 
-// computeBody builds the fault-aware process body for a plain
-// fixed-Duration task: execution stretches by the slowest placed node's
-// straggler factor, and a checkpointed task cuts its work into segments
-// that each end with a synchronous checkpoint write through the data
-// subsystem (contending for shared-FS bandwidth like any flow). After a
-// failure the relocated attempt stages the last checkpoint back to its new
-// primary node — skipped when the node already holds it, and riding the
-// stage-in when one is already in flight there — and resumes from the
-// saved fraction. Every continuation is generation-guarded, so a stale
-// attempt's timers and transfer completions are inert.
-func (a *Agent) computeBody(t *Task, placed *[]int) func(sim.Time, func()) {
-	r := &computeRun{a: a, t: t, gen: t.gen, placed: placed}
-	return r.body
-}
+// The fault-aware compute body of a plain fixed-Duration task: execution
+// stretches by the slowest placed node's straggler factor, and a
+// checkpointed task cuts its work into segments that each end with a
+// synchronous checkpoint write through the data subsystem (contending for
+// shared-FS bandwidth like any flow). After a failure the relocated
+// attempt stages the last checkpoint back to its new primary node —
+// skipped when the node already holds it, and riding the stage-in when one
+// is already in flight there — and resumes from the saved fraction. The
+// state lives on the attempt record and every continuation is a prebound
+// callback taking it, so a checkpoint segment allocates nothing here; all
+// of them are generation-guarded, so a stale attempt's timers and
+// transfer completions are inert.
 
-// computeRun is one dispatch attempt of a fault-aware compute body. The
-// one record carries the attempt's generation guard, its stretched work
-// and the checkpoint loop's state; segment ends and the finish are
-// scheduled through the agent's prebound callbacks, and writeDoneFn is
-// bound once per attempt, so a checkpoint segment allocates nothing here.
-type computeRun struct {
-	a      *Agent
-	t      *Task
-	gen    int
-	placed *[]int
-	done   func()
+func attemptSegEnd(x any)      { x.(*attempt).segEnd() }
+func attemptCkptWritten(x any) { x.(*attempt).ckptWritten() }
+func attemptRestored(x any)    { x.(*attempt).restored() }
 
-	total   sim.Duration
-	segFrac float64
-	node    int
-	ds      string
-	// ws is when the in-flight checkpoint write or restore began; xuid
-	// names its transfer; inBytes is what a restore adds to BytesIn (zero
-	// when it rides another attempt's stage-in).
-	ws          sim.Time
-	xuid        string
-	inBytes     int64
-	writeDoneFn func()
-}
-
-func (r *computeRun) live() bool { return r.t.gen == r.gen }
-
-func computeSegEnd(x any) { x.(*computeRun).segEnd() }
-
-func computeFinish(x any) {
-	if r := x.(*computeRun); r.live() {
-		r.done()
-	}
-}
-
-func (r *computeRun) body(start sim.Time, done func()) {
-	a, t := r.a, r.t
-	r.done = done
+// computeStart begins the fault-aware compute body.
+func (at *attempt) computeStart() {
+	a, t := at.a, at.t
 	total := t.TD.Duration
 	if a.slowFactor != nil {
 		f := 1.0
-		for _, n := range *r.placed {
+		for _, n := range at.placed {
 			if sf := a.slowFactor(n); sf > f {
 				f = sf
 			}
@@ -213,40 +182,41 @@ func (r *computeRun) body(start sim.Time, done func()) {
 			total = sim.Duration(float64(total) * f)
 		}
 	}
-	r.total = total
+	at.total = total
 	if !t.TD.Checkpointed() || t.TD.Duration <= 0 {
-		a.eng.AfterCall(total, computeFinish, r)
+		a.eng.AfterCall(total, attemptComputed, at)
 		return
 	}
-	r.node = -1
-	if len(*r.placed) > 0 {
-		r.node = (*r.placed)[0]
+	at.node = -1
+	if len(at.placed) > 0 {
+		at.node = at.placed[0]
 	}
 	// Work is tracked as a fraction of the original Duration, so the
 	// saved fraction carries across relocations even when the new
 	// node's straggler factor differs.
-	r.segFrac = float64(t.TD.CheckpointInterval) / float64(t.TD.Duration)
-	r.ds = "ckpt." + t.TD.UID
-	r.writeDoneFn = r.writeDone
-	if t.ckptSaved {
-		if r.node >= 0 && !a.dataSys.Registry().HasNode(r.ds, r.node) {
+	at.segFrac = float64(t.TD.CheckpointInterval) / float64(t.TD.Duration)
+	d := t.dataState()
+	if d.ckptDS == "" {
+		d.ckptDS = "ckpt." + t.TD.UID
+	}
+	if d.ckptSaved {
+		if at.node >= 0 && !a.dataSys.Registry().HasNode(d.ckptDS, at.node) {
 			// Restore: stage the checkpoint to the new primary node
 			// before resuming.
-			r.ws = a.eng.Now()
-			restored := r.restoreDone
-			if uid, ok := a.dataSys.JoinPending(r.ds, r.node, restored); ok {
+			at.ws = a.eng.Now()
+			if uid, ok := a.dataSys.JoinPending(d.ckptDS, at.node, attemptRestored, at); ok {
 				// An earlier attempt's restore to this node is still in
 				// flight: ride it instead of staging a second copy.
-				r.xuid = uid
+				at.xuid = uid
 				t.Trace.DataHits++
 				a.dataSys.RecordHit()
 				return
 			}
 			t.Trace.DataMisses++
 			a.dataSys.RecordMiss()
-			r.inBytes = t.TD.CheckpointBytes
-			r.xuid = a.dataSys.StageToNode(t.TD.UID, r.ds, t.TD.CheckpointBytes,
-				t.TD.CheckpointDest, r.node, restored)
+			at.inBytes = t.TD.CheckpointBytes
+			at.xuid = a.dataSys.StageToNode(t.TD.UID, d.ckptDS, t.TD.CheckpointBytes,
+				t.TD.CheckpointDest, at.node, attemptRestored, at)
 			return
 		}
 		// Relocated onto a node that still holds the image (or the
@@ -254,67 +224,67 @@ func (r *computeRun) body(start sim.Time, done func()) {
 		t.Trace.DataHits++
 		a.dataSys.RecordHit()
 	}
-	r.step()
+	at.step()
 }
 
 // step schedules the next segment: a checkpointed one, or the final
 // partial one that finishes without another write.
-func (r *computeRun) step() {
-	if !r.live() {
+func (at *attempt) step() {
+	if !at.live() {
 		return
 	}
-	remain := 1 - r.t.ckptFrac
+	remain := 1 - at.t.data.ckptFrac
 	if remain <= 1e-9 {
-		r.done()
+		at.computed()
 		return
 	}
-	if r.segFrac >= remain {
-		r.a.eng.AfterCall(sim.Duration(remain*float64(r.total)), computeFinish, r)
+	if at.segFrac >= remain {
+		at.a.eng.AfterCall(sim.Duration(remain*float64(at.total)), attemptComputed, at)
 		return
 	}
-	r.a.eng.AfterCall(sim.Duration(r.segFrac*float64(r.total)), computeSegEnd, r)
+	at.a.eng.AfterCall(sim.Duration(at.segFrac*float64(at.total)), attemptSegEnd, at)
 }
 
 // segEnd writes the segment's checkpoint image out.
-func (r *computeRun) segEnd() {
-	if !r.live() {
+func (at *attempt) segEnd() {
+	if !at.live() {
 		return
 	}
-	t := r.t
-	r.ws = r.a.eng.Now()
-	r.xuid = r.a.dataSys.WriteFromNode(t.TD.UID, r.ds, t.TD.CheckpointBytes,
-		r.node, t.TD.CheckpointDest, r.writeDoneFn)
+	t := at.t
+	at.ws = at.a.eng.Now()
+	at.xuid = at.a.dataSys.WriteFromNode(t.TD.UID, t.data.ckptDS, t.TD.CheckpointBytes,
+		at.node, t.TD.CheckpointDest, attemptCkptWritten, at)
 }
 
-// writeDone advances the saved fraction once the image is durable: dying
+// ckptWritten advances the saved fraction once the image is durable: dying
 // mid-write restarts the segment.
-func (r *computeRun) writeDone() {
-	if !r.live() {
+func (at *attempt) ckptWritten() {
+	if !at.live() {
 		return
 	}
-	t := r.t
-	r.edge()
+	t := at.t
+	at.ckptEdge()
 	t.Trace.BytesOut += t.TD.CheckpointBytes
-	t.ckptFrac += r.segFrac
-	t.ckptSaved = true
-	r.step()
+	t.data.ckptFrac += at.segFrac
+	t.data.ckptSaved = true
+	at.step()
 }
 
-// restoreDone resumes the attempt once its checkpoint image is local.
-func (r *computeRun) restoreDone() {
-	if !r.live() {
+// restored resumes the attempt once its checkpoint image is local.
+func (at *attempt) restored() {
+	if !at.live() {
 		return
 	}
-	r.edge()
-	r.t.Trace.BytesIn += r.inBytes
-	r.step()
+	at.ckptEdge()
+	at.t.Trace.BytesIn += at.inBytes
+	at.step()
 }
 
-// edge records the checkpoint transfer the attempt just waited on.
-func (r *computeRun) edge() {
-	if now := r.a.eng.Now(); now > r.ws {
-		r.t.Trace.AddEdge(profiler.CausalEdge{
-			Kind: profiler.EdgeCheckpoint, From: r.ws, To: now, Ref: r.xuid,
+// ckptEdge records the checkpoint transfer the attempt just waited on.
+func (at *attempt) ckptEdge() {
+	if now := at.a.eng.Now(); now > at.ws {
+		at.t.Trace.AddEdge(profiler.CausalEdge{
+			Kind: profiler.EdgeCheckpoint, From: at.ws, To: now, Ref: at.xuid,
 		})
 	}
 }

@@ -76,7 +76,7 @@ func TestOrphanedBodyInertAfterRelocation(t *testing.T) {
 	if tk.State != states.TaskRunning {
 		t.Fatalf("task not running at eviction time: %v", tk.State)
 	}
-	if !tk.ckptSaved {
+	if !(tk.data != nil && tk.data.ckptSaved) {
 		t.Fatal("no checkpoint persisted before the failure")
 	}
 	victims := r.agent.FailNode(0, "node 0 failed")
@@ -317,7 +317,7 @@ func TestRestoreRidesInFlightStageIn(t *testing.T) {
 			r.eng.RunUntil(r.eng.Now().Add(100 * sim.Millisecond))
 		}
 	}
-	stepUntil(func() bool { return tk.ckptSaved }, "a durable checkpoint")
+	stepUntil(func() bool { return (tk.data != nil && tk.data.ckptSaved) }, "a durable checkpoint")
 	sys.Registry().Evict("ckpt.ck", 0)
 	crash := func() {
 		t.Helper()

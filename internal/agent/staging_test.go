@@ -313,17 +313,17 @@ func TestPreferenceCacheMatchesFresh(t *testing.T) {
 			})
 		}
 	}
-	recs := make([]*stageRec, len(tds))
+	recs := make([]*attempt, len(tds))
 	for i, td := range tds {
-		recs[i] = &stageRec{a: r.agent, td: td}
+		recs[i] = &attempt{dispatchRec: dispatchRec{a: r.agent, t: &Task{TD: td}}, staged: true}
 		r.agent.Submit(r.task(td, "p."+itoa6(i)), func(*Task) {})
 	}
 	hits, rebuilds := 0, 0
 	check := func() {
 		for _, sr := range recs {
 			key := sr.key
-			got := sr.prefer()
-			if want := r.agent.preferNodes(sr.td); !slices.Equal(got, want) {
+			got := sr.Prefer()
+			if want := r.agent.preferNodes(nil, sr.t.TD); !slices.Equal(got, want) {
 				t.Fatalf("at %v: cached preference %v, fresh %v", r.eng.Now(), got, want)
 			}
 			if sr.key == key {

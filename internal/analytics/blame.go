@@ -8,8 +8,10 @@ package analytics
 // int64 microseconds — no float drift).
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"rpgo/internal/profiler"
@@ -117,12 +119,13 @@ func (s *TaskSummary) Valid() bool { return s.Submit >= 0 && s.Final >= s.Submit
 type iv struct{ lo, hi sim.Time }
 
 // coverage returns the total length covered by the union of the intervals.
-// It sorts in place.
+// It sorts in place; the union's length does not depend on the order of
+// intervals with equal lo, so the sort need not be stable.
 func coverage(ivs []iv) sim.Duration {
 	if len(ivs) == 0 {
 		return 0
 	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].lo < ivs[j].lo })
+	slices.SortFunc(ivs, func(a, b iv) int { return cmp.Compare(a.lo, b.lo) })
 	var total sim.Duration
 	cur := ivs[0]
 	for _, v := range ivs[1:] {

@@ -7,9 +7,10 @@ package data
 // channel's fair share capacity/nActive. Whenever a flow starts or
 // finishes, the System recomputes every active rate and reschedules the
 // next completion — the classic flow-level network model, driven entirely
-// through the deterministic event engine. A recompute costs
-// O(flows + live channels): channels no flow has touched since their
-// occupancy last returned to zero are never visited.
+// through the deterministic event engine. A recompute is two passes over
+// the flows (advance, finish and count; then rates) plus the live
+// channels: channels no flow has touched since their occupancy last
+// returned to zero are never visited.
 
 import (
 	"math"
@@ -114,8 +115,9 @@ const (
 )
 
 // flow is one transfer, from the API call to its completion: the setup
-// delay, the contention sweeps and the completion callback all carry the
-// same record.
+// delay, the contention sweeps and the completion callbacks all carry the
+// same record. Once complete has fired its callbacks the flow goes back to
+// the System's free list, so a steady stream of transfers allocates none.
 type flow struct {
 	kind      flowKind
 	nch       uint8
@@ -124,9 +126,17 @@ type flow struct {
 	rate      float64 // bytes/s, current fair share
 	dest      spec.StageTier
 	tt        transferInfo
-	done      func()
-	// waiters are the coalesced callers riding this transfer.
-	waiters []func()
+	// fn(arg) is the caller's completion; waiters are the coalesced
+	// callers riding this transfer.
+	fn      func(any)
+	arg     any
+	waiters []waiter
+}
+
+// waiter is one completion callback, fn(arg).
+type waiter struct {
+	fn  func(any)
+	arg any
 }
 
 // link appends ch to the channels the flow traverses (nil is no link).
@@ -155,37 +165,49 @@ type transferInfo struct {
 	contended string
 }
 
-// advance progresses every flow to the current time.
-func (s *System) advance() {
+// sweep advances every flow to the current time and rebuilds the live
+// channels' link counts, in one pass over the flows. With finish set
+// (tick), a flow within rounding of empty moves to s.finished instead of
+// being counted. begin sweeps with finish unset: its new flow is already
+// in the list with rate 0, so advancing it leaves its bytes exact.
+func (s *System) sweep(finish bool) {
 	now := s.eng.Now()
 	dt := now.Sub(s.lastT).Seconds()
-	if dt > 0 {
-		for _, f := range s.flows {
+	s.lastT = now
+	for _, ch := range s.live {
+		ch.nActive = 0
+		ch.sumRate = 0
+	}
+	kept := s.flows[:0]
+	for _, f := range s.flows {
+		if dt > 0 {
 			f.remaining -= f.rate * dt
 			if f.remaining < 0 {
 				f.remaining = 0
 			}
 		}
-	}
-	s.lastT = now
-}
-
-// recompute redistributes fair shares and reschedules the next completion.
-// It must run at the current time with advance already applied. Only live
-// channels are swept: every channel a flow traverses is live, and a
-// channel leaves the list in the sweep that notes its occupancy back to
-// zero — after which noting zero again would be a no-op, so skipping it
-// changes nothing.
-func (s *System) recompute() {
-	for _, ch := range s.live {
-		ch.nActive = 0
-		ch.sumRate = 0
-	}
-	for _, f := range s.flows {
+		// Tolerate one microsecond's worth of rounding: the engine
+		// quantizes time to µs, so a flow within rate·1µs of empty is
+		// done.
+		if finish && f.remaining <= f.rate*1e-6 {
+			s.finished = append(s.finished, f)
+			continue
+		}
+		kept = append(kept, f)
 		for _, ch := range f.links() {
 			ch.nActive++
 		}
 	}
+	clear(s.flows[len(kept):])
+	s.flows = kept
+}
+
+// rates redistributes fair shares over the counts sweep built and
+// reschedules the next completion. Only live channels are visited: every
+// channel a flow traverses is live, and a channel leaves the list in the
+// pass that notes its occupancy back to zero — after which noting zero
+// again would be a no-op, so skipping it changes nothing.
+func (s *System) rates() {
 	for _, ch := range s.live {
 		if ch.nActive > 0 {
 			ch.share = ch.capacity / float64(ch.nActive)
@@ -250,23 +272,9 @@ func flowETA(remaining, rate float64) sim.Duration {
 // tick fires at the earliest projected completion: finished flows complete
 // (in start order, keeping runs deterministic) and shares redistribute.
 func (s *System) tick() {
-	s.advance()
-	kept := s.flows[:0]
-	finished := s.finished[:0]
-	for _, f := range s.flows {
-		// Tolerate one microsecond's worth of rounding: the engine
-		// quantizes time to µs, so a flow within rate·1µs of empty is
-		// done.
-		if f.remaining <= f.rate*1e-6 {
-			finished = append(finished, f)
-		} else {
-			kept = append(kept, f)
-		}
-	}
-	clear(s.flows[len(kept):])
-	s.flows = kept
+	s.sweep(true)
 	now := s.eng.Now()
-	for _, f := range finished {
+	for _, f := range s.finished {
 		s.bytesMoved += f.tt.bytes
 		s.cBytes.Add(uint64(f.tt.bytes))
 		for _, ch := range f.links() {
@@ -274,10 +282,10 @@ func (s *System) tick() {
 		}
 		s.finishTransfer(f, now)
 	}
-	if len(finished) > 0 {
+	if len(s.finished) > 0 {
 		s.gFlows.Set(now, float64(len(s.flows)))
 	}
-	clear(finished)
-	s.finished = finished
-	s.recompute()
+	clear(s.finished)
+	s.finished = s.finished[:0]
+	s.rates()
 }

@@ -52,17 +52,26 @@ type System struct {
 	reg *Registry
 
 	flows []*flow
-	// finished is tick's reused scratch list of completing flows.
+	// finished is tick's reused scratch list of completing flows; free
+	// holds completed flows for reuse.
 	finished []*flow
+	free     []*flow
+	// completing is the UID of the transfer whose callbacks are running.
+	completing string
 	// uidSeq numbers transfers for causal references; assigned when the
 	// transfer API is called (before setup latency) so coalescing joiners
-	// can name the movement they ride.
+	// can name the movement they ride. uids holds the formatted UIDs of
+	// the current block of uidBlock numbers, so the block shares one
+	// string allocation.
 	uidSeq uint64
-	lastT  sim.Time
-	timer  sim.Timer
+	uids   string
+	// edges is the arena contention edges are cut from.
+	edges []profiler.CausalEdge
+	lastT sim.Time
+	timer sim.Timer
 	// tickFn, beginFn and completeFn are bound once: a method value
 	// allocates each time it is taken, and every transfer schedules its
-	// begin and completion while recompute reschedules the tick on every
+	// begin and completion while rates reschedules the tick on every
 	// flow change.
 	tickFn     func()
 	beginFn    func(any)
@@ -232,21 +241,58 @@ func (s *System) effectiveTier(t spec.StageTier) spec.StageTier {
 	return t
 }
 
-// nextUID numbers a transfer at API-call time, formatting "xfer.%06d"
-// without fmt.
+// uidBlock is how many consecutive transfer UIDs share one string, and
+// edgeChunk how many contention edges one arena chunk holds.
+const (
+	uidBlock  = 64
+	uidLen    = len("xfer.000000")
+	edgeChunk = 256
+)
+
+// nextUID numbers a transfer at API-call time as "xfer.%06d". Numbers below
+// a million are cut from a block string that formats uidBlock of them at
+// once, without fmt.
 func (s *System) nextUID() string {
 	seq := s.uidSeq
 	s.uidSeq++
 	if seq >= 1000000 {
 		return fmt.Sprintf("xfer.%06d", seq)
 	}
-	buf := [11]byte{'x', 'f', 'e', 'r', '.', '0', '0', '0', '0', '0', '0'}
-	for i := len(buf) - 1; seq > 0; i-- {
-		buf[i] = byte('0' + seq%10)
-		seq /= 10
+	i := int(seq % uidBlock)
+	if i == 0 {
+		var buf [uidBlock * uidLen]byte
+		for k := range uidBlock {
+			b := buf[k*uidLen : (k+1)*uidLen]
+			copy(b, "xfer.")
+			for n, d := seq+uint64(k), uidLen-1; d >= len("xfer."); d-- {
+				b[d] = byte('0' + n%10)
+				n /= 10
+			}
+		}
+		s.uids = string(buf[:])
 	}
-	return string(buf[:])
+	return s.uids[i*uidLen : (i+1)*uidLen]
 }
+
+// newFlow returns a flow for one transfer, reusing a completed one when
+// the free list has any.
+func (s *System) newFlow(kind flowKind, fn func(any), arg any) *flow {
+	var f *flow
+	if n := len(s.free); n > 0 {
+		f = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		f = new(flow)
+	}
+	f.kind, f.fn, f.arg = kind, fn, arg
+	return f
+}
+
+// Completing returns the UID of the transfer whose completion callbacks
+// are running, so a callback shared by several transfers can name the one
+// that landed. It is empty outside those callbacks.
+func (s *System) Completing() string { return s.completing }
 
 // nvmeName names node's NVMe channel, also for nodes outside the
 // allocation (which have no channel).
@@ -260,41 +306,45 @@ func linkName(ch *Channel, node int) string {
 	return nvmeName(node)
 }
 
-// JoinPending registers fn to fire when an already in-flight stage-in of
-// the dataset to the node completes; it returns that transfer's UID and
+// JoinPending registers fn(arg) to run when an already in-flight stage-in
+// of the dataset to the node completes; it returns that transfer's UID and
 // whether such a transfer exists. Joining moves no bytes — callers count it
 // as a locality hit.
-func (s *System) JoinPending(dataset string, node int, fn func()) (string, bool) {
+func (s *System) JoinPending(dataset string, node int, fn func(any), arg any) (string, bool) {
 	f, ok := s.pendingNode[nodeKey{dataset, node}]
 	if !ok {
 		return "", false
 	}
-	f.waiters = append(f.waiters, fn)
+	f.waiters = append(f.waiters, waiter{fn, arg})
 	s.cCoalesced.Inc()
 	return f.tt.uid, true
 }
 
 // PendingNodes returns the nodes a stage-in of the dataset is currently
 // in flight to, sorted ascending.
-func (s *System) PendingNodes(dataset string) []int {
-	var out []int
+func (s *System) PendingNodes(dataset string) []int { return s.AppendPendingNodes(nil, dataset) }
+
+// AppendPendingNodes appends PendingNodes(dataset) to dst.
+func (s *System) AppendPendingNodes(dst []int, dataset string) []int {
+	n := len(dst)
 	for k := range s.pendingNode {
 		if k.dataset == dataset {
-			out = append(out, k.node)
+			dst = append(dst, k.node)
 		}
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // StageToNode pulls a dataset from a shared tier into one node's local
 // storage: the flow traverses the source tier's channel and the node's
 // NVMe channel, bottlenecked by the more contended of the two. On
-// completion the registry records a node-local replica and any coalesced
-// waiters fire. Callers must check JoinPending first: a second stage-in of
-// the dataset to the node while one is in flight is a caller bug and
-// panics. It returns the transfer's UID for causal references.
-func (s *System) StageToNode(task, dataset string, bytes int64, src spec.StageTier, node int, done func()) string {
+// completion the registry records a node-local replica, then fn(arg) and
+// any coalesced waiters run. Callers must check JoinPending first: a
+// second stage-in of the dataset to the node while one is in flight is a
+// caller bug and panics. It returns the transfer's UID for causal
+// references.
+func (s *System) StageToNode(task, dataset string, bytes int64, src spec.StageTier, node int, fn func(any), arg any) string {
 	key := nodeKey{dataset, node}
 	if p, ok := s.pendingNode[key]; ok {
 		panic(fmt.Sprintf("data: stage-in of %s to node %d while %s is in flight (callers must JoinPending)",
@@ -302,10 +352,11 @@ func (s *System) StageToNode(task, dataset string, bytes int64, src spec.StageTi
 	}
 	srcCh := s.tierChannel(src)
 	dst := s.NodeChannel(node)
-	f := &flow{kind: flowStage, done: done, tt: transferInfo{
+	f := s.newFlow(flowStage, fn, arg)
+	f.tt = transferInfo{
 		uid: s.nextUID(), dataset: dataset, task: task, bytes: bytes,
 		src: srcCh.name, dst: linkName(dst, node), node: node,
-	}}
+	}
 	f.link(srcCh)
 	f.link(dst)
 	s.pendingNode[key] = f
@@ -319,13 +370,15 @@ func (s *System) StageToNode(task, dataset string, bytes int64, src spec.StageTi
 // channel. The registry records the dataset at the destination tier and as
 // a node-local replica: the produced bytes linger in the node's storage,
 // which is what lets a data-aware scheduler run the consumer where the
-// producer ran.
-func (s *System) WriteFromNode(task, dataset string, bytes int64, node int, dest spec.StageTier, done func()) string {
+// producer ran. fn(arg) runs on completion.
+func (s *System) WriteFromNode(task, dataset string, bytes int64, node int, dest spec.StageTier, fn func(any), arg any) string {
 	src := s.NodeChannel(node)
-	f := &flow{kind: flowWrite, dest: dest, done: done, tt: transferInfo{
+	f := s.newFlow(flowWrite, fn, arg)
+	f.dest = dest
+	f.tt = transferInfo{
 		uid: s.nextUID(), dataset: dataset, task: task, bytes: bytes,
 		src: linkName(src, node), node: node,
-	}}
+	}
 	f.tt.dst = f.tt.src
 	f.link(src)
 	lat := s.params.NVMeLatency
@@ -339,37 +392,39 @@ func (s *System) WriteFromNode(task, dataset string, bytes int64, node int, dest
 	return f.tt.uid
 }
 
-// JoinPendingTier registers fn to fire when an already in-flight transfer
-// of the dataset to the tier completes; it returns that transfer's UID and
-// whether such a transfer exists. Joining moves no bytes — callers count it
-// as a locality hit.
-func (s *System) JoinPendingTier(dataset string, tier spec.StageTier, fn func()) (string, bool) {
+// JoinPendingTier registers fn(arg) to run when an already in-flight
+// transfer of the dataset to the tier completes; it returns that
+// transfer's UID and whether such a transfer exists. Joining moves no
+// bytes — callers count it as a locality hit.
+func (s *System) JoinPendingTier(dataset string, tier spec.StageTier, fn func(any), arg any) (string, bool) {
 	f, ok := s.pendingTier[tierKey{dataset, s.effectiveTier(tier)}]
 	if !ok {
 		return "", false
 	}
-	f.waiters = append(f.waiters, fn)
+	f.waiters = append(f.waiters, waiter{fn, arg})
 	s.cCoalesced.Inc()
 	return f.tt.uid, true
 }
 
 // TierTransfer moves a dataset between two shared tiers (pre-placement
 // staging: parallel FS to burst buffer and back). The registry records the
-// dataset at the destination and coalesced waiters fire. Callers must check
-// JoinPendingTier first: a second transfer of the dataset to the tier
-// while one is in flight is a caller bug and panics. It returns the
-// transfer's UID for causal references.
-func (s *System) TierTransfer(task, dataset string, bytes int64, src, dest spec.StageTier, done func()) string {
+// dataset at the destination, then fn(arg) and any coalesced waiters run.
+// Callers must check JoinPendingTier first: a second transfer of the
+// dataset to the tier while one is in flight is a caller bug and panics.
+// It returns the transfer's UID for causal references.
+func (s *System) TierTransfer(task, dataset string, bytes int64, src, dest spec.StageTier, fn func(any), arg any) string {
 	key := tierKey{dataset, s.effectiveTier(dest)}
 	if p, ok := s.pendingTier[key]; ok {
 		panic(fmt.Sprintf("data: transfer of %s to tier %v while %s is in flight (callers must JoinPendingTier)",
 			dataset, key.tier, p.tt.uid))
 	}
 	srcCh, dstCh := s.tierChannel(src), s.tierChannel(dest)
-	f := &flow{kind: flowTier, dest: key.tier, done: done, tt: transferInfo{
+	f := s.newFlow(flowTier, fn, arg)
+	f.dest = key.tier
+	f.tt = transferInfo{
 		uid: s.nextUID(), dataset: dataset, task: task, bytes: bytes,
 		src: srcCh.name, dst: dstCh.name, node: -1,
-	}}
+	}
 	f.link(srcCh)
 	if dstCh != srcCh {
 		f.link(dstCh)
@@ -389,7 +444,6 @@ func (s *System) begin(x any) {
 		s.finishTransfer(f, now)
 		return
 	}
-	s.advance()
 	f.remaining = float64(f.tt.bytes)
 	for _, ch := range f.links() {
 		if ch.nActive > 0 {
@@ -406,7 +460,8 @@ func (s *System) begin(x any) {
 		}
 	}
 	s.flows = append(s.flows, f)
-	s.recompute()
+	s.sweep(false)
+	s.rates()
 	s.gFlows.Set(now, float64(len(s.flows)))
 }
 
@@ -428,12 +483,17 @@ func (s *System) finishTransfer(f *flow, at sim.Time) {
 		if f.tt.contended != "" && at > f.tt.start {
 			// The flow shared its bottleneck link from the moment it
 			// entered the channels.
-			tt.Edges = []profiler.CausalEdge{{
+			if len(s.edges) == 0 {
+				s.edges = make([]profiler.CausalEdge, edgeChunk)
+			}
+			tt.Edges = s.edges[:1:1]
+			s.edges = s.edges[1:]
+			tt.Edges[0] = profiler.CausalEdge{
 				Kind: profiler.EdgeContention,
 				From: f.tt.start,
 				To:   at,
 				Ref:  f.tt.contended,
-			}}
+			}
 		}
 		s.prof.Transfer(tt)
 	}
@@ -442,7 +502,8 @@ func (s *System) finishTransfer(f *flow, at sim.Time) {
 
 // complete applies a finished transfer to the registry, retires its
 // coalescing record and fires its callbacks: the caller's first, then
-// every waiter that joined it.
+// every waiter that joined it. The flow then goes back on the free list,
+// emptied, so no later transfer can fire these callbacks again.
 func (s *System) complete(x any) {
 	f := x.(*flow)
 	ds := f.tt.dataset
@@ -464,12 +525,18 @@ func (s *System) complete(x any) {
 		s.reg.RegisterTier(ds, f.tt.bytes, f.dest)
 		delete(s.pendingTier, tierKey{ds, f.dest})
 	}
-	if f.done != nil {
-		f.done()
+	s.completing = f.tt.uid
+	if f.fn != nil {
+		f.fn(f.arg)
 	}
-	for _, fn := range f.waiters {
-		fn()
+	for _, w := range f.waiters {
+		w.fn(w.arg)
 	}
+	s.completing = ""
+	ws := f.waiters
+	clear(ws)
+	*f = flow{waiters: ws[:0]}
+	s.free = append(s.free, f)
 }
 
 // Registry tracks which nodes and tiers hold which datasets.
@@ -613,12 +680,14 @@ func (r *Registry) HasTier(dataset string, tier spec.StageTier) bool {
 
 // NodesHolding returns the node IDs with a replica, sorted ascending (the
 // deterministic base order for placement preference).
-func (r *Registry) NodesHolding(dataset string) []int {
-	e, ok := r.entries[dataset]
-	if !ok {
-		return nil
+func (r *Registry) NodesHolding(dataset string) []int { return r.AppendNodesHolding(nil, dataset) }
+
+// AppendNodesHolding appends NodesHolding(dataset) to dst.
+func (r *Registry) AppendNodesHolding(dst []int, dataset string) []int {
+	if e, ok := r.entries[dataset]; ok {
+		dst = append(dst, e.nodes...)
 	}
-	return slices.Clone(e.nodes)
+	return dst
 }
 
 // Bytes returns the registered size of the dataset.

@@ -16,6 +16,9 @@ import (
 	"rpgo/internal/spec"
 )
 
+// call runs a func() passed as a transfer completion's argument.
+func call(x any) { x.(func())() }
+
 // zeroLatencyParams makes transfer math exact for hand-computed cases.
 func zeroLatencyParams() model.DataParams {
 	return model.DataParams{
@@ -37,7 +40,7 @@ func TestSingleFlowBottleneck(t *testing.T) {
 	eng, sys, prof := newSystem(t, 2, zeroLatencyParams())
 	var done sim.Time = -1
 	// 10 GB onto node 0: bottleneck is the 5 GB/s NVMe → 2 s.
-	sys.StageToNode("t0", "ds", 10e9, spec.TierSharedFS, 0, func() { done = eng.Now() })
+	sys.StageToNode("t0", "ds", 10e9, spec.TierSharedFS, 0, call, func() { done = eng.Now() })
 	eng.Run()
 	if done < 0 {
 		t.Fatal("transfer never completed")
@@ -60,9 +63,9 @@ func TestFairShareContention(t *testing.T) {
 	// A: 10 GB at t=0. B: 5 GB at t=0.5s. Both share node 0's 5 GB/s.
 	// A alone for 0.5s (2.5 GB), then 2.5 GB/s each: B's 5 GB ends at
 	// t=2.5s; A (2.5 GB left) finishes alone at t=3.0s.
-	sys.StageToNode("a", "dsA", 10e9, spec.TierSharedFS, 0, func() { doneA = eng.Now() })
+	sys.StageToNode("a", "dsA", 10e9, spec.TierSharedFS, 0, call, func() { doneA = eng.Now() })
 	eng.At(sim.Time(500*sim.Millisecond), func() {
-		sys.StageToNode("b", "dsB", 5e9, spec.TierSharedFS, 0, func() { doneB = eng.Now() })
+		sys.StageToNode("b", "dsB", 5e9, spec.TierSharedFS, 0, call, func() { doneB = eng.Now() })
 	})
 	eng.Run()
 	if math.Abs(doneB.Seconds()-2.5) > 1e-3 {
@@ -81,7 +84,7 @@ func TestSharedChannelAggregateContention(t *testing.T) {
 	// Two flows to different nodes: NVMe channels are private, but both
 	// cross the 8 GB/s shared pipe → 4 GB/s each for 8 GB → 2 s.
 	for n := 0; n < 2; n++ {
-		sys.StageToNode("t", "ds", 8e9, spec.TierSharedFS, n, func() { ends = append(ends, eng.Now()) })
+		sys.StageToNode("t", "ds", 8e9, spec.TierSharedFS, n, call, func() { ends = append(ends, eng.Now()) })
 	}
 	eng.Run()
 	if len(ends) != 2 {
@@ -101,7 +104,7 @@ func TestSharedChannelAggregateContention(t *testing.T) {
 func TestZeroByteTransfer(t *testing.T) {
 	eng, sys, prof := newSystem(t, 1, zeroLatencyParams())
 	fired := false
-	sys.StageToNode("t", "empty", 0, spec.TierSharedFS, 0, func() { fired = true })
+	sys.StageToNode("t", "empty", 0, spec.TierSharedFS, 0, call, func() { fired = true })
 	eng.Run()
 	if !fired {
 		t.Fatal("zero-byte transfer never completed")
@@ -117,7 +120,7 @@ func TestBurstBufferFallsBackToShared(t *testing.T) {
 	if sys.BurstChannel() != nil {
 		t.Fatal("burst channel should be disabled")
 	}
-	sys.StageToNode("t", "ds", 1e9, spec.TierBurstBuffer, 0, func() {})
+	sys.StageToNode("t", "ds", 1e9, spec.TierBurstBuffer, 0, call, func() {})
 	eng.Run()
 	if got := prof.Transfers()[0].Src; got != "sharedfs" {
 		t.Errorf("disabled burst buffer should degrade to sharedfs, got src %q", got)
@@ -129,7 +132,7 @@ func TestTierTransferRegisters(t *testing.T) {
 	p.BurstBufferPerNode = 4e9
 	p.BurstBufferLatency = 0
 	eng, sys, _ := newSystem(t, 2, p)
-	sys.TierTransfer("t", "weights", 2e9, spec.TierSharedFS, spec.TierBurstBuffer, func() {})
+	sys.TierTransfer("t", "weights", 2e9, spec.TierSharedFS, spec.TierBurstBuffer, call, func() {})
 	eng.Run()
 	if !sys.Registry().HasTier("weights", spec.TierBurstBuffer) {
 		t.Error("tier transfer must register destination presence")
@@ -174,7 +177,7 @@ func TestTransferDeterminism(t *testing.T) {
 			sz := int64(1+i%5) * 500 * MB
 			i := i
 			eng.At(at, func() {
-				sys.StageToNode("t", nameOf(i%3), sz, spec.TierSharedFS, n, func() {})
+				sys.StageToNode("t", nameOf(i%3), sz, spec.TierSharedFS, n, call, func() {})
 			})
 		}
 		eng.Run()
@@ -198,11 +201,11 @@ func nameOf(i int) string { return string(rune('a' + i)) }
 func TestDuplicateStageInPanics(t *testing.T) {
 	eng, sys, prof := newSystem(t, 1, zeroLatencyParams())
 	fired := 0
-	uid := sys.StageToNode("a", "ckpt.x", 10e9, spec.TierSharedFS, 0, func() { fired++ })
+	uid := sys.StageToNode("a", "ckpt.x", 10e9, spec.TierSharedFS, 0, call, func() { fired++ })
 	var msg string
 	eng.At(sim.Time(100*sim.Millisecond), func() {
 		defer func() { msg = fmt.Sprint(recover()) }()
-		sys.StageToNode("b", "ckpt.x", 10e9, spec.TierSharedFS, 0, func() { fired++ })
+		sys.StageToNode("b", "ckpt.x", 10e9, spec.TierSharedFS, 0, call, func() { fired++ })
 	})
 	eng.Run()
 	for _, want := range []string{"ckpt.x", "node 0", uid} {
@@ -218,16 +221,57 @@ func TestDuplicateStageInPanics(t *testing.T) {
 	}
 }
 
+// TestRecycledFlowFiresOnlyItsOwnCallbacks: a completed transfer's flow is
+// reused by the next one. The old transfer's callback and its rider never
+// fire again, a join on the new transfer names the new UID, the completed
+// one is no longer joinable, and Completing names the transfer whose
+// callbacks run.
+func TestRecycledFlowFiresOnlyItsOwnCallbacks(t *testing.T) {
+	eng, sys, _ := newSystem(t, 2, zeroLatencyParams())
+	var log []string
+	note := func(x any) { log = append(log, x.(string)+" "+sys.Completing()) }
+	uid1 := sys.StageToNode("a", "ds", 1e9, spec.TierSharedFS, 0, note, "first")
+	if got, ok := sys.JoinPending("ds", 0, note, "first-rider"); !ok || got != uid1 {
+		t.Fatalf("join on the first transfer = (%q, %v), want %s", got, ok, uid1)
+	}
+	eng.Run()
+	if len(sys.free) != 1 {
+		t.Fatalf("%d flows on the free list after one transfer, want 1", len(sys.free))
+	}
+	recycled := sys.free[0]
+	if recycled.fn != nil || recycled.arg != nil || len(recycled.waiters) != 0 {
+		t.Fatalf("recycled flow keeps callbacks: %+v", recycled)
+	}
+	uid2 := sys.StageToNode("b", "ds2", 1e9, spec.TierSharedFS, 1, note, "second")
+	if sys.pendingNode[nodeKey{"ds2", 1}] != recycled || uid2 == uid1 {
+		t.Fatalf("second transfer %s did not reuse the first's flow", uid2)
+	}
+	if got, ok := sys.JoinPending("ds2", 1, note, "second-rider"); !ok || got != uid2 {
+		t.Fatalf("join after recycling = (%q, %v), want %s", got, ok, uid2)
+	}
+	if _, ok := sys.JoinPending("ds", 0, note, "stale"); ok {
+		t.Fatal("a completed transfer is still joinable")
+	}
+	eng.Run()
+	want := []string{"first " + uid1, "first-rider " + uid1, "second " + uid2, "second-rider " + uid2}
+	if !slices.Equal(log, want) {
+		t.Fatalf("callbacks %q, want %q", log, want)
+	}
+	if sys.Completing() != "" {
+		t.Fatalf("Completing outside callbacks = %q", sys.Completing())
+	}
+}
+
 // TestDuplicateTierTransferPanics is the tier-to-tier counterpart.
 func TestDuplicateTierTransferPanics(t *testing.T) {
 	p := zeroLatencyParams()
 	p.BurstBufferPerNode = 4e9
 	eng, sys, _ := newSystem(t, 1, p)
-	uid := sys.TierTransfer("a", "w", 8e9, spec.TierSharedFS, spec.TierBurstBuffer, func() {})
+	uid := sys.TierTransfer("a", "w", 8e9, spec.TierSharedFS, spec.TierBurstBuffer, call, func() {})
 	var msg string
 	func() {
 		defer func() { msg = fmt.Sprint(recover()) }()
-		sys.TierTransfer("b", "w", 8e9, spec.TierSharedFS, spec.TierBurstBuffer, func() {})
+		sys.TierTransfer("b", "w", 8e9, spec.TierSharedFS, spec.TierBurstBuffer, call, func() {})
 	}()
 	eng.Run()
 	if !strings.Contains(msg, "w") || !strings.Contains(msg, uid) {

@@ -13,6 +13,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"rpgo/internal/model"
@@ -450,8 +451,21 @@ func checkVersions(t *testing.T, api flowAPI, eng *sim.Engine, prev map[string]l
 
 func systemAPI(s *System) flowAPI {
 	return flowAPI{
-		stage: s.StageToNode, write: s.WriteFromNode, tier: s.TierTransfer,
-		join: s.JoinPending, joinTier: s.JoinPendingTier,
+		stage: func(task, ds string, bytes int64, src spec.StageTier, node int, done func()) string {
+			return s.StageToNode(task, ds, bytes, src, node, call, done)
+		},
+		write: func(task, ds string, bytes int64, node int, dest spec.StageTier, done func()) string {
+			return s.WriteFromNode(task, ds, bytes, node, dest, call, done)
+		},
+		tier: func(task, ds string, bytes int64, src, dest spec.StageTier, done func()) string {
+			return s.TierTransfer(task, ds, bytes, src, dest, call, done)
+		},
+		join: func(ds string, node int, fn func()) (string, bool) {
+			return s.JoinPending(ds, node, call, fn)
+		},
+		joinTier: func(ds string, tier spec.StageTier, fn func()) (string, bool) {
+			return s.JoinPendingTier(ds, tier, call, fn)
+		},
 		evictNode: s.reg.EvictNode, evict: s.reg.Evict,
 		holding: s.reg.NodesHolding, pendingTo: s.PendingNodes, versionOf: s.reg.Version,
 	}
@@ -578,6 +592,29 @@ func diffFlowEngines(t *testing.T, data []byte) {
 		t.Fatalf("drained system keeps %d flows, %d live channels, %d pending",
 			len(sys.flows), len(sys.live), len(sys.pendingNode)+len(sys.pendingTier))
 	}
+	// Every flow ever allocated is back on the free list, emptied: no
+	// callback, rider or channel survives into its next transfer. A flow
+	// is reused before another is allocated, so there are no more of them
+	// than transfers started.
+	started := 0
+	for _, l := range got.log {
+		if strings.Contains(l, " stage ") || strings.Contains(l, " write ") || strings.Contains(l, " tier ") {
+			started++
+		}
+	}
+	if len(sys.free) > started {
+		t.Fatalf("%d flows allocated for %d transfers", len(sys.free), started)
+	}
+	seen := map[*flow]bool{}
+	for _, f := range sys.free {
+		if seen[f] {
+			t.Fatal("a flow is on the free list twice")
+		}
+		seen[f] = true
+		if f.fn != nil || f.arg != nil || len(f.waiters) != 0 || f.nch != 0 || f.rate != 0 || f.tt != (transferInfo{}) {
+			t.Fatalf("recycled flow not emptied: %+v", f)
+		}
+	}
 }
 
 // FuzzFlowEngine checks System against the reference engine on arbitrary
@@ -589,5 +626,13 @@ func FuzzFlowEngine(f *testing.F) {
 		0, 0, 0, 7, 0, 1, 1, 7, 0, 2, 2, 7, 3, 0, 10, 0,
 		0, 0, 0, 7, 4, 0, 0, 0, 1, 16, 1, 3, 2, 0, 0, 6,
 		2, 16, 0, 6, 3, 0, 200, 0})
+	// Transfers that start after earlier ones completed reuse their
+	// flows: stage-ins and joins by the same keys, a write and a joined
+	// tier transfer, each after the previous batch drained.
+	f.Add([]byte{4,
+		0, 0, 0, 7, 0, 0, 0, 7, 3, 0, 255, 0,
+		0, 1, 1, 3, 0, 1, 1, 3, 0, 0, 0, 7, 1, 2, 0, 2, 3, 0, 255, 0,
+		0, 0, 0, 7, 0, 1, 1, 3, 2, 16, 0, 6, 2, 16, 0, 6, 3, 0, 255, 0,
+		0, 0, 0, 7, 0, 0, 0, 7, 1, 18, 2, 5})
 	f.Fuzz(diffFlowEngines)
 }

@@ -99,6 +99,14 @@ type ThroughputResult struct {
 	MeanUtil float64
 	// MeanMakespan is the mean workload makespan.
 	MeanMakespan sim.Duration
+	// Err reports a cell whose pilot layout is invalid; no repetition ran.
+	Err error
+}
+
+// pilot returns the cell's pilot description, named as a session names its
+// first pilot.
+func (c *ThroughputConfig) pilot() *spec.PilotDescription {
+	return &spec.PilotDescription{UID: "pilot.0000", Nodes: c.Nodes, SMT: 1, Partitions: c.Partitions}
 }
 
 // taskCount returns the Table-1 task count for the cell.
@@ -134,6 +142,10 @@ func RunThroughput(cfg ThroughputConfig) ThroughputResult {
 		cfg.Reps = 1
 	}
 	res := ThroughputResult{Config: cfg}
+	if err := cfg.pilot().Validate(); err != nil {
+		res.Err = fmt.Errorf("experiments: %s: %w", cfg.Name, err)
+		return res
+	}
 	res.Reps = make([]RepResult, cfg.Reps)
 	RunCells(cfg.Reps, func(r int) {
 		res.Reps[r] = runThroughputRep(cfg, r, cfg.Seed+uint64(r))
@@ -163,11 +175,7 @@ func runThroughputRep(cfg ThroughputConfig, repIdx int, seed uint64) RepResult {
 		sink = cfg.Sink(repIdx)
 	}
 	sess := core.NewSession(core.Config{Seed: seed, Params: cfg.Params, Sink: sink})
-	pilot, err := sess.SubmitPilot(spec.PilotDescription{
-		Nodes:      cfg.Nodes,
-		SMT:        1,
-		Partitions: cfg.Partitions,
-	})
+	pilot, err := sess.SubmitPilot(*cfg.pilot())
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s: %v", cfg.Name, err))
 	}

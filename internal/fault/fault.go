@@ -227,7 +227,9 @@ func (inj *Injector) fire(ev event) {
 			return
 		}
 		inj.stats.NodeRestores++
-		inj.prof.Log(inj.eng.Now(), "fault", "node_restored", fmt.Sprintf("node=%d", ev.node))
+		if inj.prof.RecordEvents {
+			inj.prof.Log(inj.eng.Now(), "fault", "node_restored", fmt.Sprintf("node=%d", ev.node))
+		}
 		// Backfill: the node's capacity is back; backends only reschedule
 		// on completions, so kick their pumps or queued work can deadlock.
 		inj.ag.KickBackends()

@@ -104,6 +104,12 @@ func (tk *task) OnStart(at sim.Time) {
 	}
 }
 
+// Prefer implements launch.Hooks: no placement preference.
+func (tk *task) Prefer() []int { return nil }
+
+// OnPlaced implements launch.Hooks.
+func (tk *task) OnPlaced(_ sim.Time, ids []int) { tk.nodes = ids }
+
 // OnComplete implements launch.Events.
 func (tk *task) OnComplete(at sim.Time, failed bool, reason string) {
 	tk.finals++
@@ -117,10 +123,10 @@ func (r *rig) submit(n int, dur sim.Duration) []*task {
 	for i := range out {
 		tk := &task{startAt: -1, duration: dur}
 		r.l.Submit(&launch.Request{
-			UID:      "t",
-			TD:       &spec.TaskDescription{Kind: r.kind, CoresPerRank: 1, Ranks: 1, Duration: dur},
-			Events:   tk,
-			OnPlaced: func(_ sim.Time, ids []int) { tk.nodes = ids },
+			UID:    "t",
+			TD:     &spec.TaskDescription{Kind: r.kind, CoresPerRank: 1, Ranks: 1, Duration: dur},
+			Events: tk,
+			Hooks:  tk,
 		})
 		out[i] = tk
 	}

@@ -26,6 +26,34 @@ type Events interface {
 	OnComplete(at sim.Time, failed bool, reason string)
 }
 
+// Body is a task's process body, run in place of the fixed TD.Duration
+// sleep. Run starts it at the current time and arranges for fn(arg) to run
+// exactly once, in an engine event of its own, when the body ends. Tasks
+// whose wall time is not known at launch use one: service replicas that
+// run until stopped, coupled tasks that block on inference responses
+// mid-run, and tasks that stage data or checkpoint around their compute.
+// The agent implements it on its per-dispatch record.
+type Body interface {
+	Run(eng *sim.Engine, fn func(any), arg any)
+}
+
+// Hooks are a request's placement callbacks. The agent implements them on
+// its per-dispatch record, so a hooked request costs no closures.
+type Hooks interface {
+	// Prefer returns node IDs the placer should try first, in order (nil
+	// for no preference) — the agent's data-aware scheduler returns the
+	// nodes holding (or currently receiving) the task's input datasets.
+	// It is called at placement time, not at submission, because
+	// placement can happen long after submission (backend queues): the
+	// preference must reflect the registry when the slots are chosen.
+	Prefer() []int
+	// OnPlaced fires when a backend claims concrete slots for the
+	// request, before the process starts. nodeIDs aliases the request's
+	// own placement, which a request claims at most once: it stays valid
+	// for the request's lifetime and must not be modified.
+	OnPlaced(at sim.Time, nodeIDs []int)
+}
+
 // Request is one task launch handed to a backend.
 type Request struct {
 	// UID identifies the task.
@@ -35,23 +63,11 @@ type Request struct {
 	// Events, when set, receives the start/complete callbacks.
 	Events Events
 	// Body, when set, replaces the fixed TD.Duration sleep as the task's
-	// process body: the backend invokes it once the process starts, and
-	// the task completes when the body calls done. Tasks whose wall time
-	// is not known at launch — service replicas that run until stopped,
-	// and coupled tasks that block on inference responses mid-run — use
-	// it; plain tasks leave it nil.
-	Body func(start sim.Time, done func())
-	// Prefer, when set, returns node IDs the placer should try first, in
-	// order — the agent's data-aware scheduler returns the nodes holding
-	// (or currently receiving) the task's input datasets. It is a
-	// function, not a slice, because placement can happen long after
-	// submission (backend queues): the preference must reflect the
-	// registry at placement time, not at dispatch time.
-	Prefer func() []int
-	// OnPlaced fires when a backend claims concrete slots for the
-	// request, before the process starts, with the chosen node IDs. The
-	// agent's data movers use it to direct node-local staging.
-	OnPlaced func(at sim.Time, nodeIDs []int)
+	// process body; plain tasks leave it nil.
+	Body Body
+	// Hooks, when set, are consulted and notified at placement; a hooked
+	// request counts as hinted for the placer's affinity pass.
+	Hooks Hooks
 	// Trace, when set, receives causal edges for the queue wait between
 	// backend arrival and placement. Nil (direct Placer tests, service
 	// replicas without task traces) disables emission.
@@ -97,23 +113,14 @@ func (r *Request) NotifyComplete(at sim.Time, failed bool, reason string) {
 // fn(arg) exactly once when it ends. Without a Body — the overwhelmingly
 // common fixed-duration task — it schedules fn(arg) after TD.Duration
 // through the engine's pooled arg-carrying event, costing no closure
-// allocation. A Body's completion is always its own engine event, exactly
-// like the fixed-duration path, so body implementations cannot perturb
-// event ordering by calling done synchronously, and a buggy body that
-// calls done repeatedly completes the task once.
+// allocation. A Body ends through an engine event of its own (its Run
+// contract), exactly like the fixed-duration path.
 func (r *Request) StartBodyCall(eng *sim.Engine, fn func(any), arg any) {
 	if r.Body == nil {
 		eng.AfterCall(r.TD.Duration, fn, arg)
 		return
 	}
-	called := false
-	r.Body(eng.Now(), func() {
-		if called {
-			return
-		}
-		called = true
-		eng.ImmediatelyCall(fn, arg)
-	})
+	r.Body.Run(eng, fn, arg)
 }
 
 // Stats captures backend counters for analytics.
@@ -208,7 +215,7 @@ type Queue struct {
 	head int
 	n    int
 	high int
-	// hinted counts queued requests carrying a Prefer hook, so the
+	// hinted counts queued requests carrying placement hooks, so the
 	// placer's affinity pass can skip its window scan entirely for
 	// locality-blind workloads.
 	hinted int
@@ -233,7 +240,7 @@ func (q *Queue) Push(r *Request) {
 	if q.n > q.high {
 		q.high = q.n
 	}
-	if r.Prefer != nil {
+	if r.Hooks != nil {
 		q.hinted++
 	}
 }
@@ -279,7 +286,7 @@ func (q *Queue) PopAt(i int) *Request {
 		q.buf[(q.head+q.n-1)&mask] = nil
 	}
 	q.n--
-	if r.Prefer != nil {
+	if r.Hooks != nil {
 		q.hinted--
 	}
 	return r
@@ -416,8 +423,8 @@ func (p *Placer) Place(at sim.Time, td *spec.TaskDescription) *platform.Placemen
 // runtime systems.
 func (p *Placer) PlaceRequest(at sim.Time, r *Request) *platform.Placement {
 	var prefer []int
-	if r.Prefer != nil {
-		prefer = r.Prefer()
+	if r.Hooks != nil {
+		prefer = r.Hooks.Prefer()
 	}
 	var pl *platform.Placement
 	if r.TD.MultiNode() {
@@ -425,8 +432,8 @@ func (p *Placer) PlaceRequest(at sim.Time, r *Request) *platform.Placement {
 	} else {
 		pl = p.placeSingleNode(at, r.TD, prefer, &r.pl)
 	}
-	if pl != nil && r.OnPlaced != nil {
-		r.OnPlaced(at, append([]int(nil), pl.NodeIDs...))
+	if pl != nil && r.Hooks != nil {
+		r.Hooks.OnPlaced(at, pl.NodeIDs)
 	}
 	return pl
 }
@@ -460,20 +467,18 @@ func (p *Placer) NextRequest(at sim.Time, queue *Queue, backfill int) (int, *pla
 	}
 	for i := 0; i < w; i++ {
 		r := queue.At(i)
-		if r.Prefer == nil || r.TD.MultiNode() {
+		if r.Hooks == nil || r.TD.MultiNode() {
 			continue
 		}
 		if p.cannotFit(r.TD.TotalCores(), r.TD.TotalGPUs()) {
 			continue
 		}
-		prefer := r.Prefer()
+		prefer := r.Hooks.Prefer()
 		if len(prefer) == 0 {
 			continue
 		}
 		if pl := p.placePreferredOnly(at, r, prefer); pl != nil {
-			if r.OnPlaced != nil {
-				r.OnPlaced(at, append([]int(nil), pl.NodeIDs...))
-			}
+			r.Hooks.OnPlaced(at, pl.NodeIDs)
 			p.stats.AffinityHits++
 			return i, pl
 		}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"rpgo/internal/platform"
+	"rpgo/internal/sim"
 	"rpgo/internal/spec"
 )
 
@@ -156,6 +157,12 @@ func TestPlacerNeverOversubscribes(t *testing.T) {
 
 // --- Ring-buffer request queue ---
 
+// preferNodes is a Hooks that prefers a fixed node list.
+type preferNodes []int
+
+func (p preferNodes) Prefer() []int            { return p }
+func (p preferNodes) OnPlaced(sim.Time, []int) {}
+
 func reqNamed(uid string, cores int) *Request {
 	return &Request{UID: uid, TD: &spec.TaskDescription{UID: uid, CoresPerRank: cores, Ranks: 1}}
 }
@@ -212,7 +219,7 @@ func TestQueueHintedCount(t *testing.T) {
 	var q Queue
 	plain := reqNamed("p", 1)
 	hinted := reqNamed("h", 1)
-	hinted.Prefer = func() []int { return []int{0} }
+	hinted.Hooks = preferNodes{0}
 	q.Push(plain)
 	q.Push(hinted)
 	if q.HintedLen() != 1 {
@@ -252,7 +259,7 @@ func TestNextRequestAffinityBeatsHead(t *testing.T) {
 	// request targets node 1 and must win the slot.
 	head := reqNamed("head", 56)
 	aff := reqNamed("aff", 56)
-	aff.Prefer = func() []int { return []int{1} }
+	aff.Hooks = preferNodes{1}
 	q.Push(head)
 	q.Push(aff)
 	idx, pl := p.NextRequest(0, &q, 0)

@@ -339,9 +339,17 @@ type Profiler struct {
 	RecordEvents bool
 	events       []Event
 
-	requests  []RequestTrace
-	transfers []TransferTrace
+	requests []RequestTrace
+	// transfers holds the retained transfer traces in chunks of
+	// transferChunk that are never regrown, so retaining n traces copies
+	// each once; Transfers flattens them into flat on demand.
+	transfers  [][]TransferTrace
+	nTransfers int
+	flat       []TransferTrace
 }
+
+// transferChunk is the number of transfer traces per storage chunk.
+const transferChunk = 256
 
 // New returns an empty profiler.
 func New() *Profiler {
@@ -469,18 +477,36 @@ func (p *Profiler) Transfer(tt TransferTrace) {
 	if !p.retain {
 		return
 	}
-	p.transfers = append(p.transfers, tt)
+	n := len(p.transfers)
+	if n == 0 || len(p.transfers[n-1]) == transferChunk {
+		p.transfers = append(p.transfers, make([]TransferTrace, 0, transferChunk))
+		n++
+	}
+	p.transfers[n-1] = append(p.transfers[n-1], tt)
+	p.nTransfers++
 }
 
-// Transfers returns all transfer traces in completion order.
-func (p *Profiler) Transfers() []TransferTrace { return p.transfers }
+// Transfers returns all transfer traces in completion order. The slice is
+// built on the first call after new traces arrived and shared until then;
+// callers must not modify it.
+func (p *Profiler) Transfers() []TransferTrace {
+	if len(p.flat) != p.nTransfers {
+		p.flat = make([]TransferTrace, 0, p.nTransfers)
+		for _, c := range p.transfers {
+			p.flat = append(p.flat, c...)
+		}
+	}
+	return p.flat
+}
 
 // TransfersFor returns the transfer traces of one dataset.
 func (p *Profiler) TransfersFor(dataset string) []TransferTrace {
 	var out []TransferTrace
-	for _, t := range p.transfers {
-		if t.Dataset == dataset {
-			out = append(out, t)
+	for _, c := range p.transfers {
+		for _, t := range c {
+			if t.Dataset == dataset {
+				out = append(out, t)
+			}
 		}
 	}
 	return out
